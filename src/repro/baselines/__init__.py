@@ -15,9 +15,8 @@ stand-ins (substitutions documented in DESIGN.md):
   against which all overheads are measured.
 
 Every baseline runs on the :mod:`repro.core.pipeline` substrate and
-returns a :class:`repro.core.pipeline.CompilationResult`; the old
-``BaselineResult`` name is a deprecated alias.  All baselines are also
-reachable by name through :func:`repro.core.registry.get_compiler`.
+returns a :class:`repro.core.pipeline.CompilationResult`.  All
+baselines are also reachable by name through :func:`repro.core.registry.get_compiler`.
 """
 
 from repro.baselines.nomap import NoMapCompiler, compile_nomap
@@ -34,7 +33,6 @@ from repro.baselines.paulihedral_like import (
 from repro.baselines.qaoa_ic import ICQAOACompiler, compile_ic_qaoa
 
 __all__ = [
-    "BaselineResult",
     "NoMapCompiler",
     "TketLikeCompiler",
     "QiskitLikeCompiler",
@@ -47,19 +45,3 @@ __all__ = [
     "compile_paulihedral_like",
 ]
 
-
-def __getattr__(name: str):
-    if name == "BaselineResult":
-        import warnings
-
-        from repro.core.pipeline import CompilationResult
-
-        # warn here (not via baselines.base) so the warning points at
-        # the deprecated import site rather than at this package
-        warnings.warn(
-            "BaselineResult is deprecated; baselines now return "
-            "repro.core.pipeline.CompilationResult",
-            DeprecationWarning, stacklevel=2,
-        )
-        return CompilationResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

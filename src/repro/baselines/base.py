@@ -2,14 +2,10 @@
 
 The baselines compile through the same :mod:`repro.core.pipeline`
 substrate as 2QAN and return the same
-:class:`~repro.core.pipeline.CompilationResult`.  ``BaselineResult`` --
-the former baseline-only result type -- survives as a deprecated alias
-of ``CompilationResult`` so external imports keep working.
+:class:`~repro.core.pipeline.CompilationResult`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.decompose import DecomposeCache, decompose_circuit
 from repro.core.metrics import CircuitMetrics
@@ -22,19 +18,8 @@ from repro.synthesis.gateset import GateSet, get_gateset
 
 _SWAP = standard_gate_unitary("SWAP")
 
-__all__ = ["BaselineResult", "lower_app_circuit", "swap_gate",
-           "identity_map", "app_2q_gate", "app_1q_gate"]
-
-
-def __getattr__(name: str):
-    if name == "BaselineResult":
-        warnings.warn(
-            "BaselineResult is deprecated; baselines now return "
-            "repro.core.pipeline.CompilationResult",
-            DeprecationWarning, stacklevel=2,
-        )
-        return CompilationResult
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["lower_app_circuit", "swap_gate", "identity_map",
+           "app_2q_gate", "app_1q_gate"]
 
 
 def identity_map(n_qubits: int) -> QubitMap:

@@ -179,12 +179,13 @@ def bind_structural(structural: StructuralCompilation,
     of the structural context; the structural artifacts are shared, not
     mutated, so a compilation binds any number of angle sets.  Each bind
     carries its own ``cancel`` token (the structural context stores
-    none).
+    none) and starts with empty ``timings``, so it reports only the
+    suffix passes it ran, never the prefix's one-off mapping search.
     """
     ctx = replace(
         structural.ctx,
         binding=dict(binding) if binding else None,
-        timings=dict(structural.ctx.timings),
+        timings={},
         cache_events=dict(structural.ctx.cache_events),
         cancel=cancel,
     )

@@ -17,8 +17,7 @@ structure explicit and shared:
   ``pipeline.run(ctx)`` executes the passes in order and records one
   ``ctx.timings[pass.name]`` entry per executed pass.
 * :class:`CompilationResult` -- the single result type shared by 2QAN
-  and every baseline (the former ``BaselineResult`` is a deprecated
-  alias).
+  and every baseline.
 
 The concrete 2QAN passes (:class:`UnifyPass`, :class:`MapPass`,
 :class:`RoutePass`, :class:`SchedulePass`, :class:`DecomposePass`) live

@@ -137,12 +137,3 @@ def tabu_search(instance: QAPInstance, seed: int = 0,
             instance.update_deltas_after_swap(deltas, current, i, j)
     return TabuResult(best, float(best_cost), performed)
 
-
-def _relocate_delta(instance: QAPInstance, assignment: np.ndarray,
-                    i: int, new_loc: int) -> float:
-    """Cost change from moving logical ``i`` to the free ``new_loc``.
-
-    Deprecated alias for :meth:`QAPInstance.relocate_delta_reference`,
-    kept for callers of the old module-level helper.
-    """
-    return instance.relocate_delta_reference(assignment, i, new_loc)

@@ -1,0 +1,331 @@
+"""Perf gate: every fast kernel against the reference it replaced.
+
+Run as ``python -m repro.perf_smoke``.  Each row of :data:`CASES` builds
+a fixed input, runs a fast path and its retained reference on it, and
+checks two things: the outputs are identical (a fast wrong kernel is
+worse than a slow right one) and the fast path is at least ``floor``
+times faster.  Both sides run in one process on one machine, best of
+``rounds``, so the ratio is relative and robust to slow CI runners.
+:func:`main` prints one line per case and returns 1 if any case fails
+either check.
+
+This is a CI gate, not a performance record: caller-seen latency and the
+per-pass breakdown are measured by ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import math
+import sys
+import time
+from dataclasses import dataclass
+from typing import Any, Callable, Sequence
+
+import numpy as np
+
+from repro.analysis.harness import build_symbolic_step
+from repro.core.bind import compile_structural
+from repro.core.registry import get_compiler
+from repro.core.routing import route
+from repro.core.unify import unify_circuit_operators
+from repro.devices import sycamore
+from repro.hamiltonians.models import nnn_heisenberg
+from repro.hamiltonians.trotter import trotter_step
+from repro.mapping.qap import qap_from_problem
+from repro.quantum.gates import standard_gate_unitary
+from repro.quantum.unitaries import random_unitary
+from repro.synthesis.gateset import get_gateset
+from repro.synthesis.weyl import canonical_gate
+
+
+# ----------------------------------------------------------------------
+# Equality oracles (the router tests import routed_equal)
+# ----------------------------------------------------------------------
+def routed_equal(a, b) -> bool:
+    """Bit-for-bit equality of two :class:`RoutedProblem` trajectories:
+    same SWAPs (edges, map indices, dressed operators), same routed
+    gates (operators, map indices, physical pairs), same map sequence."""
+    if len(a.swaps) != len(b.swaps) or len(a.gates) != len(b.gates) \
+            or len(a.maps) != len(b.maps):
+        return False
+    for sa, sb in zip(a.swaps, b.swaps):
+        da = sa.dressed_with.label if sa.is_dressed else None
+        db = sb.dressed_with.label if sb.is_dressed else None
+        if (sa.physical_pair, sa.map_index, da) != \
+                (sb.physical_pair, sb.map_index, db):
+            return False
+    for ga, gb in zip(a.gates, b.gates):
+        if (ga.operator.label, ga.map_index, tuple(ga.physical_pair)) != \
+                (gb.operator.label, gb.map_index, tuple(gb.physical_pair)):
+            return False
+    return all(ma.logical_to_physical == mb.logical_to_physical
+               for ma, mb in zip(a.maps, b.maps))
+
+
+def circuits_identical(a, b) -> bool:
+    """Gate-by-gate bit identity: same wires, same unitary bytes."""
+    if a.n_qubits != b.n_qubits or len(a.gates) != len(b.gates):
+        return False
+    for ga, gb in zip(a.gates, b.gates):
+        if ga.name != gb.name or ga.qubits != gb.qubits:
+            return False
+        if ga.unitary().tobytes() != gb.unitary().tobytes():
+            return False
+    return True
+
+
+def blocks_identical(batched, scalar) -> bool:
+    """Block-for-block comparison of ``(circuit, phase)`` syntheses:
+    names, qubits, params, matrix bytes, global phases."""
+    if len(batched) != len(scalar):
+        return False
+    for (circuit_b, phase_b), (circuit_s, phase_s) in zip(batched, scalar):
+        if complex(phase_b) != complex(phase_s):
+            return False
+        if len(circuit_b.gates) != len(circuit_s.gates):
+            return False
+        for gate_b, gate_s in zip(circuit_b.gates, circuit_s.gates):
+            if (gate_b.name != gate_s.name
+                    or gate_b.qubits != gate_s.qubits
+                    or gate_b.params != gate_s.params):
+                return False
+            if (gate_b.matrix is None) != (gate_s.matrix is None):
+                return False
+            if gate_b.matrix is not None:
+                if (np.ascontiguousarray(gate_b.matrix).tobytes()
+                        != np.ascontiguousarray(gate_s.matrix).tobytes()):
+                    return False
+    return True
+
+
+# ----------------------------------------------------------------------
+# The case table
+# ----------------------------------------------------------------------
+@dataclass(frozen=True)
+class Case:
+    """One fast-vs-reference gate.
+
+    ``build()`` makes the fixed inputs (untimed).  A fast round times
+    ``prepare(inputs)`` -- the fast side's one-off set-up, if it has
+    one -- then ``fast(state)`` on what it returned; a reference round
+    times ``reference(inputs)``.  ``floor`` bounds reference over fast
+    time; ``setup_floor`` bounds reference over prepare-plus-fast time.
+    """
+
+    name: str
+    describe: str
+    build: Callable[[], Any]
+    fast: Callable[[Any], Any]
+    reference: Callable[[Any], Any]
+    identical: Callable[[Any, Any], bool]
+    floor: float
+    prepare: Callable[[Any], Any] | None = None
+    setup_floor: float | None = None
+    rounds: int = 5
+
+
+def _heisenberg_step(n_qubits: int):
+    return unify_circuit_operators(
+        trotter_step(nnn_heisenberg(n_qubits, seed=0)))
+
+
+def _random_placement(n_logical: int, n_physical: int) -> np.ndarray:
+    """A seeded random placement: deliberately bad, so there is work."""
+    rng = np.random.default_rng(0)
+    return np.array(rng.permutation(n_physical)[:n_logical])
+
+
+def _mapping_inputs():
+    instance = qap_from_problem(_heisenberg_step(16), sycamore())
+    return instance, _random_placement(instance.n_logical,
+                                       instance.n_physical)
+
+
+def _swap_deltas_reference(inputs) -> np.ndarray:
+    """The swap neighbourhood as O(n^2) scalar probes."""
+    instance, assignment = inputs
+    n = instance.n_logical
+    deltas = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            deltas[i, j] = instance.swap_delta_reference(assignment, i, j)
+    return deltas
+
+
+def _routing_inputs():
+    device = sycamore()
+    return _heisenberg_step(34), device, _random_placement(34,
+                                                           device.n_qubits)
+
+
+def _synthesis_inputs():
+    """Seeded Haar draws, the structured blocks real workloads repeat
+    (SWAP, CNOT, CZ, a local product, canonical gates at the chamber
+    boundaries), then a second, larger Haar batch."""
+    rng = np.random.default_rng(0)
+    matrices = [random_unitary(4, rng) for _ in range(48)]
+    matrices += [
+        standard_gate_unitary("SWAP"),
+        standard_gate_unitary("CNOT"),
+        standard_gate_unitary("CZ"),
+        np.kron(random_unitary(2, rng), random_unitary(2, rng)),
+        canonical_gate(math.pi / 4, 0.3, 0.1),   # x = pi/4 boundary
+        canonical_gate(0.4, 0.3, 0.0),           # z = 0 (2-CNOT class)
+        canonical_gate(0.4, 0.3, -0.2),          # z < 0 pre-reduction
+    ]
+    rng = np.random.default_rng(42)
+    matrices += [random_unitary(4, rng) for _ in range(128)]
+    return get_gateset("CNOT"), matrices
+
+
+def _bind_compiler():
+    return get_compiler("2qan", device=sycamore(), gateset="CNOT", seed=0)
+
+
+def _bind_inputs():
+    angles = [{"gamma": 0.05 + 0.11 * i, "beta": -0.6 + 0.07 * i}
+              for i in range(20)]
+    return build_symbolic_step("QAOA-REG-3", 20, 0), angles
+
+
+def _cold_compiles(inputs) -> list:
+    """The cold baseline: bind the angles at the front end (a fully
+    concrete step, as the sweep harness compiles) and run the whole
+    pipeline from scratch per angle set."""
+    symbolic, angles = inputs
+    return [_bind_compiler().compile(symbolic.bind(binding))
+            for binding in angles]
+
+
+def _bound_identical(warm, cold) -> bool:
+    return len(warm) == len(cold) and all(
+        circuits_identical(w.circuit, c.circuit) and w.metrics == c.metrics
+        for w, c in zip(warm, cold))
+
+
+CASES: tuple[Case, ...] = (
+    Case("mapping", "n=16 Heisenberg/sycamore swap neighbourhood, "
+                    "delta matrix vs scalar probes",
+         build=_mapping_inputs,
+         fast=lambda inputs: inputs[0].swap_delta_matrix(inputs[1]),
+         reference=_swap_deltas_reference,
+         identical=lambda fast, ref: np.array_equal(np.triu(fast, k=1), ref),
+         floor=3.0),
+    Case("routing", "n=34 Heisenberg/sycamore, incremental vs "
+                    "scalar-rescan router",
+         build=_routing_inputs,
+         fast=lambda inputs: route(*inputs, seed=0, engine="incremental"),
+         reference=lambda inputs: route(*inputs, seed=0, engine="reference"),
+         identical=routed_equal,
+         floor=3.0),
+    Case("synthesis", "183 blocks (55 structured/Haar + 128 Haar) to CNOT, "
+                      "batched vs per-matrix KAK",
+         build=_synthesis_inputs,
+         fast=lambda inputs: inputs[0].decompose_batch(inputs[1]),
+         reference=lambda inputs: [inputs[0].decompose(m) for m in inputs[1]],
+         identical=blocks_identical,
+         floor=3.0),
+    # the set-up floor is the serving claim (the structural compile is
+    # paid inside the batch); the plain floor is the per-bind claim
+    Case("bind", "n=20 QAOA/sycamore, 20 angle sets, structural compile "
+                 "+ binds vs cold compiles",
+         build=_bind_inputs,
+         prepare=lambda inputs: (compile_structural(_bind_compiler(),
+                                                    inputs[0]), inputs[1]),
+         fast=lambda state: [state[0].bind(binding) for binding in state[1]],
+         reference=_cold_compiles,
+         identical=_bound_identical,
+         floor=10.0, setup_floor=5.0, rounds=1),
+)
+
+
+# ----------------------------------------------------------------------
+# Measurement
+# ----------------------------------------------------------------------
+def _ratio(reference_s: float, fast_s: float) -> float:
+    return reference_s / fast_s if fast_s > 0 else math.inf
+
+
+@dataclass(frozen=True)
+class Outcome:
+    """A case's best round: seconds per side plus output identity."""
+
+    case: Case
+    prepare_s: float
+    fast_s: float
+    reference_s: float
+    identical: bool
+
+    @property
+    def ratio(self) -> float:
+        return _ratio(self.reference_s, self.fast_s)
+
+    @property
+    def setup_ratio(self) -> float:
+        return _ratio(self.reference_s, self.prepare_s + self.fast_s)
+
+    def failures(self) -> list[str]:
+        problems = []
+        if not self.identical:
+            problems.append("outputs differ from the reference")
+        if self.ratio < self.case.floor:
+            problems.append(f"only {self.ratio:.1f}x faster")
+        setup_floor = self.case.setup_floor
+        if setup_floor is not None and self.setup_ratio < setup_floor:
+            problems.append(f"only {self.setup_ratio:.1f}x faster "
+                            f"with set-up")
+        return problems
+
+    def report(self) -> str:
+        case = self.case
+        line = (f"{case.name}: {case.describe}: "
+                f"fast {self.fast_s * 1e3:.2f}ms, "
+                f"reference {self.reference_s * 1e3:.2f}ms, "
+                f"ratio {self.ratio:.1f}x (need >= {case.floor}x)")
+        if case.setup_floor is not None:
+            line += (f", with set-up {self.setup_ratio:.1f}x "
+                     f"(need >= {case.setup_floor}x)")
+        line += f", identical: {self.identical}"
+        problems = self.failures()
+        return line + (f" -- FAIL: {'; '.join(problems)}" if problems
+                       else " -- ok")
+
+
+def _timed(fn: Callable[[Any], Any], arg: Any) -> tuple[float, Any]:
+    start = time.perf_counter()
+    out = fn(arg)
+    return time.perf_counter() - start, out
+
+
+def measure(case: Case) -> Outcome:
+    """Time ``case.rounds`` fast rounds, then as many reference rounds;
+    keep each side's best."""
+    inputs = case.build()
+    prepare_s = fast_s = reference_s = math.inf
+    fast_out = reference_out = None
+    for _ in range(case.rounds):
+        round_prepare_s, state = (_timed(case.prepare, inputs)
+                                  if case.prepare else (0.0, inputs))
+        round_fast_s, fast_out = _timed(case.fast, state)
+        if round_prepare_s + round_fast_s < prepare_s + fast_s:
+            prepare_s, fast_s = round_prepare_s, round_fast_s
+    for _ in range(case.rounds):
+        round_reference_s, reference_out = _timed(case.reference, inputs)
+        reference_s = min(reference_s, round_reference_s)
+    return Outcome(case, prepare_s, fast_s, reference_s,
+                   bool(case.identical(fast_out, reference_out)))
+
+
+def main(cases: Sequence[Case] = CASES) -> int:
+    """Measure every case, print one line each; 1 if any case failed."""
+    status = 0
+    for case in cases:
+        outcome = measure(case)
+        print(outcome.report(), flush=True)
+        if outcome.failures():
+            status = 1
+    return status
+
+
+if __name__ == "__main__":
+    sys.exit(main())

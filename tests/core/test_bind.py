@@ -109,3 +109,30 @@ def test_bind_scheduled_shares_concrete_items_and_keeps_input():
     # the input schedule is untouched (it is bound many times)
     assert scheduled_parameters(scheduled) == frozenset({"gamma", "beta"})
     assert len(bound.items) == len(scheduled.items)
+
+
+def test_binds_report_only_their_suffix_timings():
+    structural = compile_structural(
+        _compiler(), build_symbolic_step("QAOA-REG-3", N, 0))
+    assert "mapping" in structural.ctx.timings
+    for angles in ({"gamma": 0.4, "beta": 1.1}, {"gamma": -2.0, "beta": 0.3}):
+        result = structural.bind(angles)
+        assert set(result.timings) == {"binding", "decomposition"}
+    # the structural prefix's timings are not mutated by binding
+    assert "mapping" in structural.ctx.timings
+
+
+def test_server_metrics_gain_no_mapping_time_from_binds():
+    from repro.service.client import CompileClient
+    from repro.service.server import CompileService, ServerThread, ServiceConfig
+
+    base = {"compiler": "2qan", "benchmark": "QAOA-REG-3", "n_qubits": N,
+            "device": "montreal", "gateset": "CNOT", "seed": 0}
+    with ServerThread(CompileService(ServiceConfig(jobs=1))) as handle:
+        client = CompileClient(port=handle.port)
+        client.compile_batch([{**base, "parameters": {"gamma": g, "beta": b}}
+                              for g, b in [(0.4, 1.1), (0.7, 0.2)]])
+        metrics = client.metrics()
+    assert metrics["requests"]["structural_binds"] == 2
+    assert metrics["passes"]["binding"]["count"] == 2
+    assert "mapping" not in metrics["passes"]

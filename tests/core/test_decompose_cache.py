@@ -1,6 +1,7 @@
 """Tests for the LRU-bounded decomposition cache."""
 
 import numpy as np
+import pytest
 
 from repro.core.decompose import (
     DecomposeCache,
@@ -10,6 +11,7 @@ from repro.core.decompose import (
 )
 from repro.quantum.circuit import Circuit
 from repro.quantum.gates import Gate, standard_gate_unitary
+from repro.quantum.unitaries import random_unitary
 from repro.synthesis.gateset import get_gateset
 
 from tests.conftest import pauli_exponential
@@ -120,6 +122,17 @@ def _two_qubit_circuit():
     return c
 
 
+def _haar_brickwork():
+    """Four brickwork layers of unique Haar blocks on 12 qubits: no
+    repeats for the dedupe phase, so every block is synthesised."""
+    rng = np.random.default_rng(7)
+    c = Circuit(12)
+    for layer in range(4):
+        for a in range(layer % 2, 11, 2):
+            c.append(Gate("APP2Q", (a, a + 1), matrix=random_unitary(4, rng)))
+    return c
+
+
 def _circuits_identical(a: Circuit, b: Circuit) -> bool:
     if len(a.gates) != len(b.gates):
         return False
@@ -144,9 +157,10 @@ class TestTwoPhaseCacheRegimes:
     the same regimes gate by gate.
     """
 
-    def test_maxsize_zero_matches_reference(self):
+    @pytest.mark.parametrize("build", [_two_qubit_circuit, _haar_brickwork])
+    def test_maxsize_zero_matches_reference(self, build):
         gateset = get_gateset("CNOT")
-        circuit = _two_qubit_circuit()
+        circuit = build()
         batched = decompose_circuit(circuit, gateset,
                                     cache=DecomposeCache(maxsize=0))
         reference = decompose_circuit_reference(

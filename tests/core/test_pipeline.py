@@ -124,16 +124,6 @@ class _IdentityMapPass:
 
 
 class TestMergedResult:
-    def test_baseline_result_is_deprecated_alias(self):
-        with pytest.deprecated_call():
-            from repro.baselines.base import BaselineResult
-        assert BaselineResult is CompilationResult
-
-    def test_package_level_alias(self):
-        import repro.baselines as baselines
-
-        assert baselines.BaselineResult is CompilationResult
-
     def test_baseline_fields_typed_defaults(self, grid23):
         """Baselines fill the merged result without the old type lies."""
         from repro.baselines import compile_nomap

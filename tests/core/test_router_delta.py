@@ -26,10 +26,10 @@ from repro.core.routing import (
     _remaining_cost,
     route,
 )
-from repro.core.routing_perf_smoke import routed_equal
 from repro.devices.library import grid
 from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep, TwoQubitOperator
+from repro.perf_smoke import routed_equal
 
 #: Dyadic edge weights: exact in float64 and cheap to scale (x2).
 DYADIC_WEIGHTS = (0.5, 1.0, 1.5, 2.0)

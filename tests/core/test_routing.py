@@ -130,7 +130,7 @@ class TestRouting:
     def test_weighted_device_uses_reference_engine(self):
         """Non-integer (noise-weighted) distances must route exactly as
         the scalar reference: the auto engine falls back to it."""
-        from repro.core.routing_perf_smoke import routed_equal
+        from repro.perf_smoke import routed_equal
         from repro.noise.device_noise import (
             with_noise_weighted_distance,
             with_random_edge_errors,
