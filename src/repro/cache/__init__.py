@@ -1,11 +1,15 @@
-"""Content-addressed compilation cache.
+"""Compilation artifact cache.
 
 Compilation artifacts -- the values passes leave on a
 :class:`~repro.core.pipeline.CompilationContext` -- become first-class,
-content-addressed objects: every input (problem, device, gate set, pass
-configuration) has a stable fingerprint, and a pass's output is stored
-under ``(pass fingerprint, input fingerprint)`` so repeated and batched
-compilations replay stored artifacts instead of recomputing them.
+addressable objects: every input (problem, device, gate set, pass
+configuration) has a stable content fingerprint, and a pass's output is
+stored under its pass fingerprint plus the ids of the fields it reads,
+so repeated and batched compilations replay stored artifacts instead of
+recomputing them.  Inputs are identified by content, artifacts by
+derivation (the key of the pass that wrote them), so a warm compile
+never re-hashes a circuit; derivation keys are only ever finer than
+content keys, never coarser.
 
 * :mod:`repro.cache.fingerprint` -- canonical content hashing for every
   compilation value (steps, devices, gate sets, circuits, passes).

@@ -1,15 +1,33 @@
 """Cache-aware pass execution: skip a pass when its output is stored.
 
 The cache key of one pass execution is
-``(pass fingerprint, input-artifact fingerprint)``:
+``fingerprint(pass fingerprint, (read name, field id)...)``:
 
 * the *pass fingerprint* is the pass class plus its configuration
   (:func:`repro.cache.fingerprint.fingerprint_pass`);
-* the *input fingerprint* covers exactly the context fields the pass
-  reads.  Passes declare them via a ``reads`` class attribute (every
-  built-in pass does); a pass without a declaration is keyed on the full
-  context -- every input and every artifact -- which can only
-  *over*-invalidate, never serve a stale artifact.
+* the read names are exactly the context fields the pass reads.  Passes
+  declare them via a ``reads`` class attribute (every built-in pass
+  does); a pass without a declaration is keyed on the full context --
+  every input and every artifact -- which can only *over*-invalidate,
+  never serve a stale artifact;
+* a *field id* names one field value.  Inputs (``step``, ``device``,
+  ...) are identified by content, their fingerprint computed at most
+  once per compilation.  An artifact written by a :class:`CachedPass`
+  is identified by derivation: ``fingerprint("derived", <the writing
+  pass's key>, field name)``, recorded on the hit and on the miss path
+  alike, so no artifact is ever content-hashed.
+
+Each recorded id is kept next to the object it names and used only
+while the context field still *is* that object; a field reassigned
+outside a :class:`CachedPass` falls back to its content fingerprint.
+The memo is a private attribute of the context, so it lives for one
+compilation and is never fingerprinted or copied by
+``dataclasses.replace``.  Under the determinism contract (equal keys
+imply equal outputs) equal derivation ids imply equal artifacts, so
+chained keys are only ever *finer* than pure content keys: the sharing
+they give up is two different derivations that happen to produce
+byte-equal artifacts.  :func:`context_key` computes the pure content
+key.
 
 On a miss the pass runs and the fields it ``writes`` (same convention;
 default: every artifact field) are snapshotted into the store; writing
@@ -136,16 +154,52 @@ def count_cache_hits(events: dict[str, str]) -> int:
     return sum(1 for value in events.values() if value == "hit")
 
 
-def context_key(stage, ctx: CompilationContext) -> str:
-    """The content-addressed key of running ``stage`` on ``ctx`` now."""
+#: Private context attribute holding one compilation's field ids:
+#: ``{field name: (value, id)}``.
+_FIELD_IDS = "_field_ids"
+
+
+def _field_ids(ctx) -> dict:
+    """``ctx``'s field-id memo, created empty on first use."""
+    field_ids = getattr(ctx, _FIELD_IDS, None)
+    if field_ids is None:
+        field_ids = {}
+        setattr(ctx, _FIELD_IDS, field_ids)
+    return field_ids
+
+
+def _record_derived(ctx, key: str, snapshot: dict) -> None:
+    """Identify every field a pass wrote by the key that derived it."""
+    field_ids = _field_ids(ctx)
+    for name, value in snapshot.items():
+        field_ids[name] = (value, fingerprint("derived", key, name))
+
+
+def _key(stage, ctx, field_ids: dict) -> str:
+    """The key of running ``stage`` on ``ctx``, reusing (and filling)
+    ``field_ids`` for every field still bound to its recorded object."""
     reads = getattr(stage, "reads", None)
     if reads is None:
         reads = INPUT_FIELDS + ARTIFACT_FIELDS
     parts: list[object] = [fingerprint_pass(stage)]
     for name in reads:
+        value = getattr(ctx, name)
+        recorded = field_ids.get(name)
+        if recorded is not None and recorded[0] is value:
+            field_id = recorded[1]
+        else:
+            field_id = fingerprint(value)
+            field_ids[name] = (value, field_id)
         parts.append(name)
-        parts.append(getattr(ctx, name))
+        parts.append(field_id)
     return fingerprint(*parts)
+
+
+def context_key(stage, ctx) -> str:
+    """The content key of running ``stage`` on ``ctx`` now: every read
+    field identified by its content fingerprint.  ``ctx`` is any object
+    with the read attributes."""
+    return _key(stage, ctx, {})
 
 
 class CachedPass:
@@ -162,11 +216,12 @@ class CachedPass:
         self.name = inner.name
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
-        key = context_key(self.inner, ctx)
+        key = _key(self.inner, ctx, _field_ids(ctx))
         snapshot = self.cache.get(key)
         if snapshot is not None:
             for field_name, value in snapshot.items():
                 setattr(ctx, field_name, value)
+            _record_derived(ctx, key, snapshot)
             ctx.cache_events[self.name] = "hit"
             self.cache.record_event(self.name, hit=True)
             return ctx
@@ -205,7 +260,9 @@ class CachedPass:
                     f"fix the declaration or caching will serve partial "
                     f"snapshots"
                 )
-        self.cache.put(key, {name: getattr(ctx, name) for name in writes})
+        snapshot = {name: getattr(ctx, name) for name in writes}
+        self.cache.put(key, snapshot)
+        _record_derived(ctx, key, snapshot)
         ctx.cache_events[self.name] = "miss"
         self.cache.record_event(self.name, hit=False)
         return ctx

@@ -23,6 +23,13 @@ import struct
 
 import numpy as np
 
+from repro.core.routing import QubitMap
+from repro.devices.topology import Device
+from repro.hamiltonians.trotter import OneQubitOperator, TwoQubitOperator
+from repro.quantum.circuit import Circuit
+from repro.quantum.gates import Gate
+from repro.synthesis.gateset import GateSet
+
 DIGEST_LEN = 16
 _ROUND_DECIMALS = 12
 
@@ -43,7 +50,7 @@ def _tag(h, label: str) -> None:
 def _update(h, obj: object) -> None:  # noqa: PLR0912 - one dispatch table
     if obj is None:
         _tag(h, "none")
-    elif isinstance(obj, bool):
+    elif isinstance(obj, (bool, np.bool_)):
         _tag(h, "bool")
         h.update(b"\x01" if obj else b"\x00")
     elif isinstance(obj, (int, np.integer)):
@@ -99,25 +106,11 @@ def _update(h, obj: object) -> None:  # noqa: PLR0912 - one dispatch table
 # non-semantic fields the generic dataclass walk would include).
 # ----------------------------------------------------------------------
 def _is_known_class(obj: object) -> bool:
-    from repro.core.routing import QubitMap
-    from repro.devices.topology import Device
-    from repro.hamiltonians.trotter import OneQubitOperator, TwoQubitOperator
-    from repro.quantum.circuit import Circuit
-    from repro.quantum.gates import Gate
-    from repro.synthesis.gateset import GateSet
-
     return isinstance(obj, (Device, Circuit, Gate, GateSet, QubitMap,
                             TwoQubitOperator, OneQubitOperator))
 
 
 def _update_known(h, obj: object) -> None:
-    from repro.core.routing import QubitMap
-    from repro.devices.topology import Device
-    from repro.hamiltonians.trotter import OneQubitOperator, TwoQubitOperator
-    from repro.quantum.circuit import Circuit
-    from repro.quantum.gates import Gate
-    from repro.synthesis.gateset import GateSet
-
     if isinstance(obj, QubitMap):
         # array-backed, not a dataclass: hash the canonical dict view
         _tag(h, "QubitMap")

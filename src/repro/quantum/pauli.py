@@ -138,8 +138,10 @@ class PauliString:
         k = self.weight
         if k == 0:
             return np.exp(1j * theta) * np.eye(1, dtype=complex)
-        compact = PauliString.from_label("".join(p for _, p in self.paulis))
-        mat = compact.to_matrix(k)
+        label = "".join(p for _, p in self.paulis)
+        mat = _COMPACT_MATRICES.get(label)
+        if mat is None:
+            mat = PauliString.from_label(label).to_matrix(k)
         dim = 2**k
         return np.cos(theta) * np.eye(dim, dtype=complex) + 1j * np.sin(theta) * mat
 
@@ -164,6 +166,20 @@ class PauliString:
         if not self.paulis:
             return "I"
         return "*".join(f"{p}{q}" for q, p in self.paulis)
+
+
+def _read_only(matrix: np.ndarray) -> np.ndarray:
+    matrix.setflags(write=False)
+    return matrix
+
+
+#: ``from_label(label).to_matrix(len(label))`` for every compact label of
+#: weight 1 and 2 -- the 12 that 2-local terms use -- built once, shared
+#: read-only by :meth:`PauliString.exp`.
+_COMPACT_MATRICES: dict[str, np.ndarray] = {
+    label: _read_only(PauliString.from_label(label).to_matrix(len(label)))
+    for label in [*"XYZ", *(a + b for a in "XYZ" for b in "XYZ")]
+}
 
 
 _PRODUCT_TABLE: dict[tuple[str, str], tuple[complex, str]] = {

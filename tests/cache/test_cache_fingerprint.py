@@ -31,6 +31,11 @@ class TestScalars:
     def test_float_rounding(self):
         assert fingerprint(0.1 + 0.2) == fingerprint(0.3)
 
+    def test_numpy_bool_hashes_like_bool(self):
+        assert fingerprint(np.True_) == fingerprint(True)
+        assert fingerprint(np.False_) == fingerprint(False)
+        assert fingerprint((np.array([3]) > 1)[0]) == fingerprint(True)
+
     def test_dict_order_independent(self):
         assert fingerprint({"a": 1, "b": 2}) == fingerprint({"b": 2, "a": 1})
 
@@ -93,6 +98,48 @@ class TestCompilationValues:
         a = Circuit(1, [Gate("H", (0,))])
         b = Circuit(1, [Gate("H", (0,), meta={"label": "x"})])
         assert fingerprint_circuit(a) == fingerprint_circuit(b)
+
+
+class TestDigestSnapshot:
+    """Digests of a golden case's compilation values, recorded before the
+    class dispatch moved to module-level imports: keys stored by earlier
+    runs must stay reachable, so no byte of the canonical form may move."""
+
+    @pytest.fixture(scope="class")
+    def compiled(self):
+        from repro.core.registry import get_compiler
+
+        step = build_step("NNN_Ising", 8, 0)
+        device = montreal()
+        result = get_compiler("2qan", device=device, gateset="CNOT",
+                              seed=0).compile(step)
+        return step, device, result
+
+    def test_inputs(self, compiled):
+        step, device, _ = compiled
+        assert fingerprint(step) == "9536d496a0acf763"
+        assert fingerprint(device) == "597965348a3ecffc"
+        assert fingerprint(get_gateset("CNOT")) == "78e8d21a0fea1ac6"
+        assert fingerprint(get_gateset("CZ")) == "b361f739792734c1"
+        assert fingerprint(get_gateset("ISWAP")) == "6950952464638c34"
+
+    def test_symbolic_steps(self):
+        from repro.analysis.harness import build_symbolic_step
+
+        assert fingerprint(build_symbolic_step("QAOA-REG-3", 8, 0)) == \
+            "61c9a2b5abe19df7"
+        assert fingerprint(build_symbolic_step("NNN_Ising", 8, 0)) == \
+            "e5a82738f292e524"
+
+    def test_artifacts(self, compiled):
+        _, _, result = compiled
+        assert fingerprint(result.circuit) == "3a64705a59de39bc"
+        assert fingerprint(result.app_circuit) == "a9bbffa87be1d506"
+        assert fingerprint(result.routed) == "7bf5e9f94e7512b5"
+        assert fingerprint(result.scheduled) == "57e8c87d229f69bd"
+        assert fingerprint(result.metrics) == "068bd2565404c066"
+        assert fingerprint(result.initial_map) == "8b323d46e6d6594b"
+        assert fingerprint(result.final_map) == "27ffdebfff606830"
 
 
 class TestPassFingerprints:

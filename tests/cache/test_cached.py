@@ -1,10 +1,25 @@
 """Tests for CachedPass / CachedPipeline: skip-on-hit, bit-identical."""
 
+import copy
+import json
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from repro.analysis.harness import build_step
-from repro.cache.cached import CachedPipeline, compile_cached, context_key
+from repro.analysis.harness import (
+    build_step,
+    build_symbolic_step,
+    default_binding,
+)
+from repro.cache import cached
+from repro.cache.cached import (
+    CachedPass,
+    CachedPipeline,
+    compile_cached,
+    context_key,
+)
 from repro.cache.store import ArtifactCache
 from repro.core.pipeline import (
     CompilationContext,
@@ -12,7 +27,8 @@ from repro.core.pipeline import (
     UnifyPass,
     run_pipeline,
 )
-from repro.core.registry import get_compiler
+from repro.core.decompose import DecomposeCache
+from repro.core.registry import compiler_names, get_compiler
 from repro.devices.library import aspen, montreal
 from repro.synthesis.gateset import get_gateset
 
@@ -228,3 +244,131 @@ class TestCachedMultiDevice:
             step, cache)
         assert second.cache_events["unify"] == "hit"
         assert second.cache_events["mapping"] == "miss"
+
+
+class RecordingCache(ArtifactCache):
+    """An artifact cache that logs every key it is asked for."""
+
+    def __init__(self, *args, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.keys: list[str] = []
+
+    def get(self, key: str):
+        self.keys.append(key)
+        return super().get(key)
+
+
+class Probe:
+    """A cheap pass reading one artifact and writing nothing."""
+
+    name = "probe"
+    reads = ("working",)
+    writes = ()
+
+    def run(self, ctx):
+        ctx.require("working")
+        return ctx
+
+
+class TestChainedKeys:
+    """Inputs are keyed by content, artifacts by the key that derived
+    them; the keys must behave exactly like content keys, only cheaper."""
+
+    @pytest.mark.parametrize("name", compiler_names())
+    @pytest.mark.parametrize("symbolic", [False, True],
+                             ids=["concrete", "parameterised"])
+    def test_cold_and_warm_issue_the_same_keys(self, name, symbolic,
+                                               device):
+        """The hit path records the same derivation ids as the miss
+        path, so a warm compile looks up exactly the cold compile's
+        keys (and hits every one)."""
+        if symbolic:
+            step = build_symbolic_step("QAOA-REG-3", 6, 0)
+            binding = default_binding("QAOA-REG-3")
+        else:
+            step, binding = build_step("QAOA-REG-3", 6, 0), None
+        compiler = get_compiler(name, device=device, gateset="CNOT", seed=1)
+        cache = RecordingCache()
+        cold = compile_cached(compiler, step, cache, binding=binding)
+        cold_keys = list(cache.keys)
+        warm = compile_cached(compiler, step, cache, binding=binding)
+        assert cache.keys[len(cold_keys):] == cold_keys
+        assert set(cold.cache_events.values()) == {"miss"}
+        assert set(warm.cache_events.values()) == {"hit"}
+        assert warm.metrics == cold.metrics
+
+    def test_first_pass_key_is_the_content_key(self, step, device):
+        """A fresh compilation keys its first pass by content, so
+        context_key on any object carrying the read fields agrees."""
+        cache = RecordingCache()
+        CachedPass(UnifyPass(), cache).run(_context(step, device))
+        assert cache.keys == [context_key(UnifyPass(),
+                                          SimpleNamespace(step=step))]
+        assert cache.keys[0] == context_key(UnifyPass(),
+                                            _context(step, device))
+
+    def test_reassigned_field_falls_back_to_content(self, step, device):
+        """A field replaced outside a CachedPass no longer is the object
+        its derivation id was recorded for, so it is hashed again."""
+        cache = RecordingCache()
+        ctx = _context(step, device)
+        CachedPass(UnifyPass(), cache).run(ctx)
+        probe = CachedPass(Probe(), cache)
+        probe.run(ctx)
+        derived = cache.keys[-1]
+        assert derived != context_key(Probe(), ctx)
+        probe.run(ctx)                      # same object: same id
+        assert cache.keys[-1] == derived
+        ctx.working = copy.deepcopy(ctx.working)
+        probe.run(ctx)
+        assert cache.keys[-1] == context_key(Probe(), ctx)
+        other = build_step("NNN_Ising", 6, 4)
+        ctx.working = other
+        probe.run(ctx)
+        assert cache.keys[-1] == context_key(Probe(),
+                                             SimpleNamespace(working=other))
+
+    def test_memo_is_private_to_one_compilation(self, step, device):
+        """The memo is no context field: never fingerprinted, never
+        copied into a dataclasses.replace copy."""
+        import dataclasses
+
+        ctx = _context(step, device)
+        CachedPass(UnifyPass(), ArtifactCache()).run(ctx)
+        assert getattr(ctx, cached._FIELD_IDS)
+        assert cached._FIELD_IDS not in {f.name for f in
+                                         dataclasses.fields(ctx)}
+        assert not hasattr(dataclasses.replace(ctx), cached._FIELD_IDS)
+
+    def test_golden_hit_miss_sequence_matches_content_keys(self,
+                                                           monkeypatch):
+        """Over the golden cases compiled through one shared cache, the
+        per-pass hit/miss record is the one pure content keys give."""
+        golden = json.loads((Path(__file__).parents[1] / "core"
+                             / "golden_metrics.json").read_text())
+        cases = sorted(key for key in golden
+                       if not key.startswith(("layers3", "trotter4")))
+        device = montreal()
+
+        def events() -> list:
+            cache = ArtifactCache()
+            decompose = {name: DecomposeCache() for name in compiler_names()}
+            record = []
+            for case in cases:
+                benchmark, n, s, name = case.split("|")
+                seed = int(s[1:])
+                compiler = get_compiler(name, device=device, gateset="CNOT",
+                                        seed=seed, cache=decompose[name])
+                result = compile_cached(
+                    compiler, build_step(benchmark, int(n[1:]), seed), cache)
+                record.append((case, result.cache_events))
+            return record
+
+        chained = events()
+        # without derivation ids every field is keyed by its content
+        monkeypatch.setattr(cached, "_record_derived",
+                            lambda ctx, key, snapshot: None)
+        content = events()
+        assert chained == content
+        assert any(value == "hit" for _, record in chained
+                   for value in record.values())

@@ -128,6 +128,27 @@ class TestExponential:
         p = PauliString.from_label("XZ", (0, 2))
         assert p.exp(0.4).shape == (4, 4)
 
+    @pytest.mark.parametrize("label", [a + b for a in "IXYZ" for b in "IXYZ"
+                                       if a + b != "II"] + list("XYZ"))
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -1.2, np.pi / 2, 1e-9])
+    def test_memoised_exp_bit_identical(self, label, theta):
+        """The compact-matrix memo changes no byte of ``exp``."""
+        p = PauliString.from_label(label, tuple(range(3, 3 + len(label))))
+        k = p.weight
+        compact = PauliString.from_label("".join(q for _, q in p.paulis))
+        want = (np.cos(theta) * np.eye(2**k, dtype=complex)
+                + 1j * np.sin(theta) * compact.to_matrix(k))
+        for _ in range(2):              # first call fills the memo
+            got = p.exp(theta)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_exp_result_is_writable(self):
+        """Callers own the returned matrix; only the memo is read-only."""
+        u = PauliString.from_label("XY").exp(0.2)
+        u[0, 0] = 0.0
+        assert PauliString.from_label("XY").exp(0.2)[0, 0] != 0.0
+
 
 class TestCommutation:
     def test_xx_commutes_zz(self):
