@@ -9,6 +9,8 @@ Examples::
     python -m repro compile --compiler tket --benchmark NNN_Ising \
         --qubits 8 --device aspen
     python -m repro compile --list-compilers
+    python -m repro bind --benchmark QAOA-REG-3 --qubits 8 \
+        --bind gamma=0.4,beta=1.1 --bind gamma=0.7,beta=0.2
     python -m repro sweep --benchmark NNN_Ising --device aspen \
         --gateset CNOT --sizes 6,8,10 --jobs 4 --store results/store
     python -m repro batch --requests requests.json --jobs 4 \
@@ -39,7 +41,7 @@ from repro.core.registry import (
     get_compiler,
     resolve_spec,
 )
-from repro.devices.library import all_to_all, by_name
+from repro.devices.library import target_device
 
 BENCHMARKS = ["NNN_Heisenberg", "NNN_XY", "NNN_Ising", "QAOA-REG-3",
               "QAOA-WR-3", "QAOA-ER"]
@@ -53,36 +55,39 @@ SWEEP_METRICS = ["n_swaps", "n_dressed", "n_two_qubit_gates",
                  "two_qubit_depth", "total_depth", "seconds"]
 
 
+# ----------------------------------------------------------------------
+# The parser tree
+# ----------------------------------------------------------------------
+def _problem(parser: argparse.ArgumentParser) -> None:
+    """The benchmark/device/gateset/seed options every compile shares."""
+    parser.add_argument("--benchmark", default="NNN_Heisenberg",
+                        choices=BENCHMARKS, help="benchmark family")
+    parser.add_argument("--device", default="montreal", choices=DEVICES,
+                        help="target device")
+    parser.add_argument("--gateset", default="CNOT", choices=GATESETS,
+                        help="hardware two-qubit basis")
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _sized(parser: argparse.ArgumentParser, compiler: bool = True) -> None:
+    """The single-size options: ``--qubits``, plus ``--compiler``."""
+    if compiler:
+        parser.add_argument("--compiler", default="2qan",
+                            choices=COMPILER_CHOICES,
+                            help="registry name (or alias) of the compiler")
+    parser.add_argument("--qubits", type=int, default=10,
+                        help="problem size")
+
+
 def make_parser() -> argparse.ArgumentParser:
+    """The whole CLI: the root (2QAN) compile plus one subcommand each."""
     parser = argparse.ArgumentParser(
         prog="repro",
         description="2QAN reproduction: compile 2-local Hamiltonian "
                     "simulation benchmarks onto NISQ devices",
-        epilog="subcommands: 'repro compile ...' compiles one benchmark "
-               "with any registered compiler; 'repro bind ...' compiles "
-               "a benchmark's structure once and binds angle sets at "
-               "request speed; 'repro sweep ...' runs a parallel, "
-               "resumable (sizes x instances x compilers) sweep; 'repro "
-               "batch ...' serves a JSON file of compile requests "
-               "through the content-addressed cache; 'repro serve ...' "
-               "runs the HTTP compile server; 'repro lint ...' runs "
-               "the static contract checkers; see 'repro compile "
-               "--help' / 'repro bind --help' / 'repro sweep --help' / "
-               "'repro batch --help' / 'repro serve --help' / 'repro "
-               "lint --help'",
     )
-    parser.add_argument("--benchmark", default="NNN_Heisenberg",
-                        choices=BENCHMARKS,
-                        help="benchmark family")
-    parser.add_argument("--qubits", type=int, default=10,
-                        help="problem size")
-    parser.add_argument("--device", default="montreal",
-                        choices=DEVICES,
-                        help="target device")
-    parser.add_argument("--gateset", default="CNOT",
-                        choices=GATESETS,
-                        help="hardware two-qubit basis")
-    parser.add_argument("--seed", type=int, default=0)
+    _problem(parser)
+    _sized(parser, compiler=False)
     parser.add_argument("--mapping-trials", type=int, default=5,
                         help="Tabu restarts (paper uses 5)")
     parser.add_argument("--mapping-jobs", type=int, default=1,
@@ -90,15 +95,198 @@ def make_parser() -> argparse.ArgumentParser:
                              "(identical result, less wall time)")
     parser.add_argument("--compare", action="store_true",
                         help="also run the baseline compilers")
+    parser.set_defaults(func=root_main)
+    commands = parser.add_subparsers(
+        title="subcommands",
+        description="'repro bind --help' (and so on) lists a "
+                    "subcommand's options; without a subcommand, repro "
+                    "compiles with 2QAN (plus the baselines with "
+                    "--compare)",
+    )
+
+    compile_ = commands.add_parser(
+        "compile", help="compile one benchmark with any registered compiler",
+        description="Compile one benchmark instance with any compiler "
+                    "from the registry and print metrics + pass timings",
+    )
+    _sized(compile_)
+    _problem(compile_)
+    compile_.add_argument("--bind", default=None, metavar="NAME=VAL[,...]",
+                          help="compile the benchmark's symbolic form and "
+                               "bind these angles (e.g. gamma=0.4,beta=1.1); "
+                               "bit-identical to compiling the concrete "
+                               "circuit")
+    compile_.add_argument("--json", action="store_true",
+                          help="emit metrics/timings as JSON")
+    compile_.add_argument("--list-compilers", action="store_true",
+                          help="list registered compilers and exit")
+    compile_.set_defaults(func=compile_main)
+
+    bind = commands.add_parser(
+        "bind", help="compile a benchmark's structure once and bind angle "
+                     "sets at request speed",
+        description="Compile a benchmark's structure once, then bind one "
+                    "or more angle sets at request speed; every bound "
+                    "circuit is bit-identical to a from-scratch compile "
+                    "of the concrete benchmark",
+    )
+    _sized(bind)
+    _problem(bind)
+    bind.add_argument("--bind", action="append", required=True,
+                      metavar="NAME=VAL[,...]",
+                      help="one angle set, e.g. gamma=0.4,beta=1.1; "
+                           "repeat the flag for several sets")
+    bind.add_argument("--json", action="store_true",
+                      help="emit per-binding metrics as JSON")
+    bind.set_defaults(func=bind_main, benchmark="QAOA-REG-3")
+
+    sweep = commands.add_parser(
+        "sweep", help="run a parallel, resumable (sizes x instances x "
+                      "compilers) sweep",
+        description="Run a (sizes x instances x compilers) sweep on the "
+                    "parallel engine with an optional persistent store",
+    )
+    _problem(sweep)
+    sweep.add_argument("--sizes", default="6,10,14",
+                       help="comma-separated problem sizes")
+    sweep.add_argument("--compilers", default="2qan,tket,qiskit,nomap",
+                       help=f"comma-separated subset of {SWEEP_COMPILERS}")
+    sweep.add_argument("--instances", type=int, default=1,
+                       help="random instances per size (QAOA)")
+    sweep.add_argument("--jobs", type=int, default=None,
+                       help="worker processes (default: all cores)")
+    sweep.add_argument("--store", default=None, metavar="DIR",
+                       help="persist/resume rows under this directory")
+    sweep.add_argument("--cache", default=None, metavar="DIR",
+                       help="share stage artifacts across tasks via a "
+                            "content-addressed cache in this directory")
+    sweep.add_argument("--json", action="store_true",
+                       help="emit raw rows as JSON instead of tables")
+    sweep.add_argument("--metrics",
+                       default="n_swaps,n_two_qubit_gates,two_qubit_depth",
+                       help=f"comma-separated subset of {SWEEP_METRICS} "
+                            "for the text tables")
+    sweep.add_argument("--pass-timings", action="store_true",
+                       help="also print mean per-pass seconds per compiler")
+    sweep.set_defaults(func=sweep_main)
+
+    batch = commands.add_parser(
+        "batch", help="serve a JSON file of compile requests through the "
+                      "content-addressed cache",
+        description="Serve a JSON file of compile requests: deduplicate, "
+                    "share one content-addressed artifact cache across "
+                    "the batch, fan independent requests out over "
+                    "processes",
+        epilog="the requests file holds a JSON list of objects with any "
+               "of: compiler, benchmark, n_qubits, device, gateset, "
+               "seed, qaoa_degree, parameters (missing fields take the "
+               "'repro compile' defaults; parameters is an angle object "
+               "such as {\"gamma\": 0.4, \"beta\": 1.1} -- requests "
+               "differing only in angle values share one structural "
+               "compilation)",
+    )
+    batch.add_argument("--requests", required=True, metavar="FILE",
+                       help="JSON file with the request list")
+    batch.add_argument("--jobs", type=int, default=1,
+                       help="worker processes for unique requests")
+    batch.add_argument("--cache", default=None, metavar="DIR",
+                       help="persist stage artifacts in this directory "
+                            "(shared across runs and processes)")
+    batch.add_argument("--json", action="store_true",
+                       help="emit responses as JSON (deterministic: "
+                            "identical for cold and warm caches)")
+    batch.set_defaults(func=batch_main)
+
+    serve = commands.add_parser(
+        "serve", help="run the HTTP compile server",
+        description="Run the compile server: an HTTP front end with a "
+                    "bounded priority job queue, in-flight request "
+                    "coalescing, per-tenant cache salting, /metrics, "
+                    "and graceful drain on shutdown",
+        epilog="routes: POST /compile (one request), POST /batch (a "
+               "request list; responses match 'repro batch --json'), "
+               "GET /metrics, GET /healthz, POST /shutdown; requests "
+               "may carry 'tenant', 'priority' and 'timeout_s' fields",
+    )
+    serve.add_argument("--host", default="127.0.0.1",
+                       help="bind address")
+    serve.add_argument("--port", type=int, default=8000,
+                       help="TCP port (0 picks an ephemeral port; the "
+                            "bound port is announced on stderr)")
+    serve.add_argument("--jobs", type=int, default=2,
+                       help="worker threads compiling queued requests")
+    serve.add_argument("--queue-depth", type=int, default=64,
+                       help="pending-job bound before 429 backpressure")
+    serve.add_argument("--cache", default=None, metavar="DIR",
+                       help="persist stage artifacts under this "
+                            "directory, salted per tenant and source "
+                            "digest")
+    serve.add_argument("--memory-limit", type=int, default=1024,
+                       help="in-memory artifact entries per tenant")
+    serve.add_argument("--timeout", type=float, default=None,
+                       metavar="SECONDS",
+                       help="default per-request timeout (requests may "
+                            "override with 'timeout_s')")
+    serve.add_argument("--workers", choices=("thread", "process"),
+                       default="thread",
+                       help="where compiles execute: 'thread' (default) "
+                            "or 'process' (a supervised process pool: "
+                            "crash isolation, bounded retries, poison-"
+                            "job quarantine)")
+    serve.add_argument("--max-retries", type=int, default=2,
+                       help="re-runs of a worker-crashing job before it "
+                            "is quarantined (process mode)")
+    serve.add_argument("--journal", nargs="?", const="auto", default=None,
+                       metavar="FILE",
+                       help="write-ahead log of accepted jobs, replayed "
+                            "on restart; without FILE it lives at "
+                            "CACHE/journal.jsonl (requires --cache)")
+    serve.add_argument("--idle-timeout", type=float, default=60.0,
+                       metavar="SECONDS",
+                       help="how long an idle keep-alive connection is "
+                            "held open")
+    serve.set_defaults(func=serve_main)
+
+    lint = commands.add_parser(
+        "lint", help="run the static contract checkers",
+        description="Run the domain contract checkers (pass "
+                    "reads/writes, fingerprint coverage, metrics "
+                    "schema, compile-path determinism, async hygiene) "
+                    "over src/repro; exits 1 when any finding remains",
+        epilog="findings print as 'path:line: CHECK [severity] "
+               "message'; --json emits the stable schema (version 1) "
+               "for tooling",
+    )
+    lint.add_argument("--root", default=None, metavar="DIR",
+                      help="repo root to scan (default: autodetected "
+                           "from the installed repro package)")
+    lint.add_argument("--json", action="store_true",
+                      help="emit findings as JSON (stable schema)")
+    lint.add_argument("--select", default=None, metavar="ID[,ID...]",
+                      help="run only these check ids (e.g. "
+                           "RPR001,RPR004)")
+    lint.add_argument("--ignore", default=None, metavar="ID[,ID...]",
+                      help="skip these check ids")
+    lint.add_argument("--diff-base", default=None, metavar="REF",
+                      help="report only findings in files changed "
+                           "since this git ref (checkers still see "
+                           "the whole tree, so cross-file contracts "
+                           "stay sound)")
+    lint.add_argument("--list-checks", action="store_true",
+                      help="list registered checks and exit")
+    lint.set_defaults(func=lint_main)
     return parser
 
 
+# ----------------------------------------------------------------------
+# Shared helpers
+# ----------------------------------------------------------------------
 def _csv(text: str) -> list[str]:
     return [item for item in (p.strip() for p in text.split(",")) if item]
 
 
 def _parse_binding(text: str) -> dict[str, float]:
-    """Parse ``gamma=0.4,beta=1.1`` into an angle binding."""
+    """Parse ``gamma=0.4,beta=1.1`` into an angle binding (in order)."""
     binding: dict[str, float] = {}
     for part in _csv(text):
         name, sep, value = part.partition("=")
@@ -113,59 +301,86 @@ def _parse_binding(text: str) -> dict[str, float]:
             raise ValueError(
                 f"bad binding value in {part!r}; expected a number"
             ) from None
+        if not math.isfinite(binding[name]):
+            raise ValueError(
+                f"bad binding value in {part!r}; {name} must be finite"
+            )
     if not binding:
         raise ValueError("empty binding; expected name=value[,name=value]")
     return binding
 
 
-def _resolve_device(name: str, max_qubits: int):
-    """Build the target device, or None (with a message) if too small.
+def _format_binding(binding: dict[str, float]) -> str:
+    return ", ".join(f"{name}={value:g}" for name, value in binding.items())
 
-    ``all-to-all`` is sized to ``max_qubits``; note that for stored
-    sweeps the device (including its size) is part of the store key, so
-    growing an all-to-all sweep's size grid starts a fresh store file.
+
+#: (text label, metric attribute) of the one-line metrics summary
+_TEXT_METRICS = (("swaps", "n_swaps"), ("dressed", "n_dressed"),
+                 ("2q-gates", "n_two_qubit_gates"),
+                 ("2q-depth", "two_qubit_depth"), ("depth", "total_depth"))
+
+
+def _metrics_text(metrics, skip: tuple[str, ...] = ()) -> str:
+    """``swaps=.. dressed=.. 2q-gates=.. 2q-depth=.. depth=..``.
+
+    ``metrics`` is anything carrying the metric attributes (circuit
+    metrics or a batch response); labels in ``skip`` are left out.
     """
-    device = all_to_all(max_qubits) if name == "all-to-all" else by_name(name)
-    if max_qubits > device.n_qubits:
-        print(f"error: {max_qubits} qubits exceed {device.name}",
-              file=sys.stderr)
-        return None
-    return device
+    return " ".join(f"{label}={getattr(metrics, attr)}"
+                    for label, attr in _TEXT_METRICS if label not in skip)
+
+
+def _target(args):
+    """The (device, gateset label) ``args.compiler`` compiles for."""
+    spec = resolve_spec(args.compiler)
+    device = target_device(args.device, args.qubits, spec.requires_device)
+    return device, (args.gateset if spec.uses_gateset else None)
+
+
+def _header(args, device, gateset: str | None) -> str:
+    basis = (f"{gateset} basis" if gateset is not None
+             else "idealised CNOT cost model")
+    return f"{args.benchmark} n={args.qubits} on {device.name} ({basis})"
+
+
+def _request_fields(args, device, gateset: str | None) -> dict:
+    return {
+        "compiler": args.compiler,
+        "benchmark": args.benchmark,
+        "n_qubits": args.qubits,
+        "device": device.name,
+        "gateset": gateset,
+        "seed": args.seed,
+    }
+
+
+# ----------------------------------------------------------------------
+# repro (no subcommand): 2QAN, optionally against the baselines
+# ----------------------------------------------------------------------
+def root_main(args) -> int:
+    step = build_step(args.benchmark, args.qubits, args.seed)
+    device = target_device(args.device, args.qubits)
+    compiler = get_compiler("2qan", device=device, gateset=args.gateset,
+                            seed=args.seed,
+                            mapping_trials=args.mapping_trials,
+                            mapping_jobs=args.mapping_jobs)
+    result = compiler.compile(step)
+    print(_header(args, device, args.gateset))
+    print(f"  2QAN: {_metrics_text(result.metrics)}")
+    if args.compare:
+        for label, name in (("NoMap", "nomap"), ("tket-like", "tket"),
+                            ("qiskit-like", "qiskit")):
+            baseline = get_compiler(name, device=device,
+                                    gateset=args.gateset, seed=args.seed)
+            r = baseline.compile(step)
+            print(f"  {label}: "
+                  f"{_metrics_text(r.metrics, skip=('dressed', 'depth'))}")
+    return 0
 
 
 # ----------------------------------------------------------------------
 # repro compile
 # ----------------------------------------------------------------------
-def make_compile_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro compile",
-        description="Compile one benchmark instance with any compiler "
-                    "from the registry and print metrics + pass timings",
-    )
-    parser.add_argument("--compiler", default="2qan",
-                        choices=COMPILER_CHOICES,
-                        help="registry name (or alias) of the compiler")
-    parser.add_argument("--benchmark", default="NNN_Heisenberg",
-                        choices=BENCHMARKS, help="benchmark family")
-    parser.add_argument("--qubits", type=int, default=10,
-                        help="problem size")
-    parser.add_argument("--device", default="montreal", choices=DEVICES,
-                        help="target device")
-    parser.add_argument("--gateset", default="CNOT", choices=GATESETS,
-                        help="hardware two-qubit basis")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bind", default=None, metavar="NAME=VAL[,...]",
-                        help="compile the benchmark's symbolic form and "
-                             "bind these angles (e.g. gamma=0.4,beta=1.1); "
-                             "bit-identical to compiling the concrete "
-                             "circuit")
-    parser.add_argument("--json", action="store_true",
-                        help="emit metrics/timings as JSON")
-    parser.add_argument("--list-compilers", action="store_true",
-                        help="list registered compilers and exit")
-    return parser
-
-
 def _print_compiler_list() -> None:
     print("registered compilers:")
     for spec in compiler_specs():
@@ -174,22 +389,11 @@ def _print_compiler_list() -> None:
         print(f"  {spec.name:14s} {spec.summary}{alias}")
 
 
-def compile_main(argv: list[str]) -> int:
-    args = make_compile_parser().parse_args(argv)
+def compile_main(args) -> int:
     if args.list_compilers:
         _print_compiler_list()
         return 0
-    spec = resolve_spec(args.compiler)
-    if spec.requires_device:
-        device = _resolve_device(args.device, args.qubits)
-        if device is None:
-            return 1
-    else:
-        # NoMap/Paulihedral compile on all-to-all connectivity whatever
-        # device is named; size the label accordingly instead of
-        # rejecting problems larger than the named device.
-        device = all_to_all(args.qubits)
-    gateset = args.gateset if spec.uses_gateset else None
+    device, gateset = _target(args)
     binding = None
     if args.bind is not None:
         try:
@@ -206,52 +410,30 @@ def compile_main(argv: list[str]) -> int:
 
     tpl_hits_before = DEFAULT_TEMPLATES.hits
     tpl_misses_before = DEFAULT_TEMPLATES.misses
-    try:
-        result = compiler.compile(step, binding=binding)
-    except ValueError as exc:
-        # e.g. ic_qaoa on a benchmark without mutually commuting layers,
-        # or a --bind that misses a parameter the benchmark carries
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # a ValueError here (e.g. ic_qaoa on a benchmark without mutually
+    # commuting layers, or a --bind that misses a parameter the
+    # benchmark carries) is reported by main()
+    result = compiler.compile(step, binding=binding)
     cache_stats = {
         "decompose_hits": compiler.cache.hits,
         "decompose_misses": compiler.cache.misses,
         "template_hits": DEFAULT_TEMPLATES.hits - tpl_hits_before,
         "template_misses": DEFAULT_TEMPLATES.misses - tpl_misses_before,
     }
-    metrics = result.metrics
     if args.json:
         payload = {
-            "compiler": args.compiler,
-            "benchmark": args.benchmark,
-            "n_qubits": args.qubits,
-            "device": device.name,
-            "gateset": gateset,
-            "seed": args.seed,
+            **_request_fields(args, device, gateset),
             **({"parameters": binding} if binding else {}),
-            "n_swaps": metrics.n_swaps,
-            "n_dressed": metrics.n_dressed,
-            "n_two_qubit_gates": metrics.n_two_qubit_gates,
-            "two_qubit_depth": metrics.two_qubit_depth,
-            "total_depth": metrics.total_depth,
-            "qap_cost": (None if math.isnan(result.qap_cost)
-                         else result.qap_cost),
+            **result.metric_fields(),
             "timings": result.timings,
             "cache_stats": cache_stats,
         }
         print(json.dumps(payload, indent=2))
         return 0
-    basis = (f"{gateset} basis" if gateset is not None
-             else "idealised CNOT cost model")
-    print(f"{args.benchmark} n={args.qubits} on {device.name} ({basis})")
+    print(_header(args, device, gateset))
     if binding:
-        print("  bound: " + ", ".join(f"{name}={value:g}"
-                                      for name, value in binding.items()))
-    print(f"  {args.compiler}: swaps={metrics.n_swaps} "
-          f"dressed={metrics.n_dressed} "
-          f"2q-gates={metrics.n_two_qubit_gates} "
-          f"2q-depth={metrics.two_qubit_depth} "
-          f"depth={metrics.total_depth}")
+        print(f"  bound: {_format_binding(binding)}")
+    print(f"  {args.compiler}: {_metrics_text(result.metrics)}")
     if not math.isnan(result.qap_cost):
         print(f"  qap-cost={result.qap_cost:.0f}")
     print("  pass timings: " + ", ".join(
@@ -263,111 +445,47 @@ def compile_main(argv: list[str]) -> int:
 # ----------------------------------------------------------------------
 # repro bind
 # ----------------------------------------------------------------------
-def make_bind_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro bind",
-        description="Compile a benchmark's structure once, then bind one "
-                    "or more angle sets at request speed; every bound "
-                    "circuit is bit-identical to a from-scratch compile "
-                    "of the concrete benchmark",
-    )
-    parser.add_argument("--compiler", default="2qan",
-                        choices=COMPILER_CHOICES,
-                        help="registry name (or alias) of the compiler")
-    parser.add_argument("--benchmark", default="QAOA-REG-3",
-                        choices=BENCHMARKS, help="benchmark family")
-    parser.add_argument("--qubits", type=int, default=10,
-                        help="problem size")
-    parser.add_argument("--device", default="montreal", choices=DEVICES,
-                        help="target device")
-    parser.add_argument("--gateset", default="CNOT", choices=GATESETS,
-                        help="hardware two-qubit basis")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--bind", action="append", required=True,
-                        metavar="NAME=VAL[,...]",
-                        help="one angle set, e.g. gamma=0.4,beta=1.1; "
-                             "repeat the flag for several sets")
-    parser.add_argument("--json", action="store_true",
-                        help="emit per-binding metrics as JSON")
-    return parser
-
-
-def bind_main(argv: list[str]) -> int:
+def bind_main(args) -> int:
     import time
 
     from repro.core.bind import compile_structural
 
-    args = make_bind_parser().parse_args(argv)
     try:
         bindings = [_parse_binding(text) for text in args.bind]
     except ValueError as exc:
         print(f"error: bad --bind: {exc}", file=sys.stderr)
         return 1
-    spec = resolve_spec(args.compiler)
-    if spec.requires_device:
-        device = _resolve_device(args.device, args.qubits)
-        if device is None:
-            return 1
-    else:
-        device = all_to_all(args.qubits)
-    gateset = args.gateset if spec.uses_gateset else None
+    device, gateset = _target(args)
     step = build_symbolic_step(args.benchmark, args.qubits, args.seed)
     compiler = get_compiler(args.compiler, device=device,
                             gateset=args.gateset, seed=args.seed)
     start = time.perf_counter()
-    try:
-        structural = compile_structural(compiler, step)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    structural = compile_structural(compiler, step)
     structural_seconds = time.perf_counter() - start
 
     payloads = []
     lines = []
     for binding in bindings:
         start = time.perf_counter()
-        try:
-            result = structural.bind(binding)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
+        result = structural.bind(binding)
         seconds = time.perf_counter() - start
-        metrics = result.metrics
-        bound = ", ".join(f"{name}={value:g}"
-                          for name, value in binding.items())
-        lines.append(f"  bind {bound}: swaps={metrics.n_swaps} "
-                     f"dressed={metrics.n_dressed} "
-                     f"2q-gates={metrics.n_two_qubit_gates} "
-                     f"2q-depth={metrics.two_qubit_depth} "
-                     f"depth={metrics.total_depth} "
+        lines.append(f"  bind {_format_binding(binding)}: "
+                     f"{_metrics_text(result.metrics)} "
                      f"({seconds * 1000:.0f}ms)")
         payloads.append({
             "parameters": binding,
-            "n_swaps": metrics.n_swaps,
-            "n_dressed": metrics.n_dressed,
-            "n_two_qubit_gates": metrics.n_two_qubit_gates,
-            "two_qubit_depth": metrics.two_qubit_depth,
-            "total_depth": metrics.total_depth,
-            "qap_cost": (None if math.isnan(result.qap_cost)
-                         else result.qap_cost),
+            **result.metric_fields(),
             "seconds": seconds,
         })
     if args.json:
         print(json.dumps({
-            "compiler": args.compiler,
-            "benchmark": args.benchmark,
-            "n_qubits": args.qubits,
-            "device": device.name,
-            "gateset": gateset,
-            "seed": args.seed,
+            **_request_fields(args, device, gateset),
             "structural_passes": list(structural.prefix_names),
             "structural_seconds": structural_seconds,
             "bindings": payloads,
         }, indent=2))
         return 0
-    basis = (f"{gateset} basis" if gateset is not None
-             else "idealised CNOT cost model")
-    print(f"{args.benchmark} n={args.qubits} on {device.name} ({basis})")
+    print(_header(args, device, gateset))
     print(f"  structural: {'+'.join(structural.prefix_names)} "
           f"({structural_seconds * 1000:.0f}ms, parameters: "
           f"{', '.join(sorted(structural.parameters)) or 'none'})")
@@ -379,48 +497,10 @@ def bind_main(argv: list[str]) -> int:
 # ----------------------------------------------------------------------
 # repro sweep
 # ----------------------------------------------------------------------
-def make_sweep_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro sweep",
-        description="Run a (sizes x instances x compilers) sweep on the "
-                    "parallel engine with an optional persistent store",
-    )
-    parser.add_argument("--benchmark", default="NNN_Heisenberg",
-                        choices=BENCHMARKS, help="benchmark family")
-    parser.add_argument("--device", default="montreal", choices=DEVICES,
-                        help="target device")
-    parser.add_argument("--gateset", default="CNOT", choices=GATESETS,
-                        help="hardware two-qubit basis")
-    parser.add_argument("--sizes", default="6,10,14",
-                        help="comma-separated problem sizes")
-    parser.add_argument("--compilers", default="2qan,tket,qiskit,nomap",
-                        help=f"comma-separated subset of {SWEEP_COMPILERS}")
-    parser.add_argument("--instances", type=int, default=1,
-                        help="random instances per size (QAOA)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=None,
-                        help="worker processes (default: all cores)")
-    parser.add_argument("--store", default=None, metavar="DIR",
-                        help="persist/resume rows under this directory")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="share stage artifacts across tasks via a "
-                             "content-addressed cache in this directory")
-    parser.add_argument("--json", action="store_true",
-                        help="emit raw rows as JSON instead of tables")
-    parser.add_argument("--metrics",
-                        default="n_swaps,n_two_qubit_gates,two_qubit_depth",
-                        help=f"comma-separated subset of {SWEEP_METRICS} "
-                             "for the text tables")
-    parser.add_argument("--pass-timings", action="store_true",
-                        help="also print mean per-pass seconds per compiler")
-    return parser
-
-
-def sweep_main(argv: list[str]) -> int:
+def sweep_main(args) -> int:
     from repro.analysis.engine import default_jobs, open_store, run_engine
     from repro.analysis.store import row_to_dict, source_digest
 
-    args = make_sweep_parser().parse_args(argv)
     try:
         sizes = tuple(dict.fromkeys(int(s) for s in _csv(args.sizes)))
     except ValueError:
@@ -452,15 +532,14 @@ def sweep_main(argv: list[str]) -> int:
     compilers = tuple(dict.fromkeys(
         resolve_spec(c).name for c in requested
     ))
-    if any(resolve_spec(c).requires_device for c in compilers):
-        device = _resolve_device(args.device, max(sizes))
-        if device is None:
-            return 1
-    else:
-        # all requested compilers ignore the device: compile on
-        # all-to-all connectivity at any size instead of rejecting
-        # problems larger than the named device
-        device = all_to_all(max(sizes))
+    # all-to-all is sized to the largest problem; for stored sweeps the
+    # device (including its size) is part of the store key, so growing
+    # an all-to-all sweep's size grid starts a fresh store file
+    device = target_device(
+        args.device, max(sizes),
+        requires_device=any(resolve_spec(c).requires_device
+                            for c in compilers),
+    )
 
     config = SweepConfig(
         benchmark=args.benchmark,
@@ -476,15 +555,10 @@ def sweep_main(argv: list[str]) -> int:
     # version of the compiler are never replayed as fresh results
     store = (open_store(args.store, config, salt=source_digest())
              if args.store else None)
-    try:
-        # the engine salts the cache directory with a source digest
-        # itself: artifacts never outlive the code that produced them
-        rows = run_engine(config, jobs=jobs, store=store,
-                          artifact_cache=args.cache or None)
-    except ValueError as exc:
-        # e.g. ic_qaoa on a benchmark without mutually commuting layers
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    # the engine salts the cache directory with a source digest itself:
+    # artifacts never outlive the code that produced them
+    rows = run_engine(config, jobs=jobs, store=store,
+                      artifact_cache=args.cache or None)
 
     if args.json:
         print(json.dumps([row_to_dict(row) for row in rows], indent=2))
@@ -507,38 +581,9 @@ def sweep_main(argv: list[str]) -> int:
 # ----------------------------------------------------------------------
 # repro batch
 # ----------------------------------------------------------------------
-def make_batch_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro batch",
-        description="Serve a JSON file of compile requests: deduplicate, "
-                    "share one content-addressed artifact cache across "
-                    "the batch, fan independent requests out over "
-                    "processes",
-        epilog="the requests file holds a JSON list of objects with any "
-               "of: compiler, benchmark, n_qubits, device, gateset, "
-               "seed, qaoa_degree, parameters (missing fields take the "
-               "'repro compile' defaults; parameters is an angle object "
-               "such as {\"gamma\": 0.4, \"beta\": 1.1} -- requests "
-               "differing only in angle values share one structural "
-               "compilation)",
-    )
-    parser.add_argument("--requests", required=True, metavar="FILE",
-                        help="JSON file with the request list")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for unique requests")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="persist stage artifacts in this directory "
-                             "(shared across runs and processes)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit responses as JSON (deterministic: "
-                             "identical for cold and warm caches)")
-    return parser
-
-
-def batch_main(argv: list[str]) -> int:
+def batch_main(args) -> int:
     from repro.service.batch import BatchCompiler, load_requests
 
-    args = make_batch_parser().parse_args(argv)
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
@@ -577,47 +622,13 @@ def batch_main(argv: list[str]) -> int:
                   f"FAILED ({response.error}){note}")
             continue
         print(f"{label(response.request)}: "
-              f"swaps={response.n_swaps} "
-              f"2q-gates={response.n_two_qubit_gates} "
-              f"2q-depth={response.two_qubit_depth} "
-              f"depth={response.total_depth}{note}")
+              f"{_metrics_text(response, skip=('dressed',))}{note}")
     return exit_code
 
 
 # ----------------------------------------------------------------------
 # repro lint
 # ----------------------------------------------------------------------
-def make_lint_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro lint",
-        description="Run the domain contract checkers (pass "
-                    "reads/writes, fingerprint coverage, metrics "
-                    "schema, compile-path determinism, async hygiene) "
-                    "over src/repro; exits 1 when any finding remains",
-        epilog="findings print as 'path:line: CHECK [severity] "
-               "message'; --json emits the stable schema (version 1) "
-               "for tooling",
-    )
-    parser.add_argument("--root", default=None, metavar="DIR",
-                        help="repo root to scan (default: autodetected "
-                             "from the installed repro package)")
-    parser.add_argument("--json", action="store_true",
-                        help="emit findings as JSON (stable schema)")
-    parser.add_argument("--select", default=None, metavar="ID[,ID...]",
-                        help="run only these check ids (e.g. "
-                             "RPR001,RPR004)")
-    parser.add_argument("--ignore", default=None, metavar="ID[,ID...]",
-                        help="skip these check ids")
-    parser.add_argument("--diff-base", default=None, metavar="REF",
-                        help="report only findings in files changed "
-                             "since this git ref (checkers still see "
-                             "the whole tree, so cross-file contracts "
-                             "stay sound)")
-    parser.add_argument("--list-checks", action="store_true",
-                        help="list registered checks and exit")
-    return parser
-
-
 def _changed_paths(repo_root: Path, base: str) -> set[str] | None:
     """Repo-relative paths changed since ``base``, or None on error."""
     import subprocess
@@ -634,10 +645,9 @@ def _changed_paths(repo_root: Path, base: str) -> set[str] | None:
             if line.strip()}
 
 
-def lint_main(argv: list[str]) -> int:
+def lint_main(args) -> int:
     from repro.lint import Project, all_checkers, run_lint
 
-    args = make_lint_parser().parse_args(argv)
     if args.list_checks:
         for check_id, cls in all_checkers().items():
             print(f"{check_id}  {cls.name}: {cls.description}")
@@ -702,62 +712,9 @@ def lint_main(argv: list[str]) -> int:
 # ----------------------------------------------------------------------
 # repro serve
 # ----------------------------------------------------------------------
-def make_serve_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro serve",
-        description="Run the compile server: an HTTP front end with a "
-                    "bounded priority job queue, in-flight request "
-                    "coalescing, per-tenant cache salting, /metrics, "
-                    "and graceful drain on shutdown",
-        epilog="routes: POST /compile (one request), POST /batch (a "
-               "request list; responses match 'repro batch --json'), "
-               "GET /metrics, GET /healthz, POST /shutdown; requests "
-               "may carry 'tenant', 'priority' and 'timeout_s' fields",
-    )
-    parser.add_argument("--host", default="127.0.0.1",
-                        help="bind address")
-    parser.add_argument("--port", type=int, default=8000,
-                        help="TCP port (0 picks an ephemeral port; the "
-                             "bound port is announced on stderr)")
-    parser.add_argument("--jobs", type=int, default=2,
-                        help="worker threads compiling queued requests")
-    parser.add_argument("--queue-depth", type=int, default=64,
-                        help="pending-job bound before 429 backpressure")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="persist stage artifacts under this "
-                             "directory, salted per tenant and source "
-                             "digest")
-    parser.add_argument("--memory-limit", type=int, default=1024,
-                        help="in-memory artifact entries per tenant")
-    parser.add_argument("--timeout", type=float, default=None,
-                        metavar="SECONDS",
-                        help="default per-request timeout (requests may "
-                             "override with 'timeout_s')")
-    parser.add_argument("--workers", choices=("thread", "process"),
-                        default="thread",
-                        help="where compiles execute: 'thread' (default) "
-                             "or 'process' (a supervised process pool: "
-                             "crash isolation, bounded retries, poison-"
-                             "job quarantine)")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="re-runs of a worker-crashing job before it "
-                             "is quarantined (process mode)")
-    parser.add_argument("--journal", nargs="?", const="auto", default=None,
-                        metavar="FILE",
-                        help="write-ahead log of accepted jobs, replayed "
-                             "on restart; without FILE it lives at "
-                             "CACHE/journal.jsonl (requires --cache)")
-    parser.add_argument("--idle-timeout", type=float, default=60.0,
-                        metavar="SECONDS",
-                        help="how long an idle keep-alive connection is "
-                             "held open")
-    return parser
-
-
-def serve_main(argv: list[str]) -> int:
+def serve_main(args) -> int:
     from repro.service.server import ServiceConfig, serve
 
-    args = make_serve_parser().parse_args(argv)
     if args.jobs < 1:
         print("error: --jobs must be >= 1", file=sys.stderr)
         return 1
@@ -798,47 +755,20 @@ def serve_main(argv: list[str]) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "sweep":
-        return sweep_main(argv[1:])
-    if argv and argv[0] == "compile":
-        return compile_main(argv[1:])
-    if argv and argv[0] == "batch":
-        return batch_main(argv[1:])
-    if argv and argv[0] == "bind":
-        return bind_main(argv[1:])
-    if argv and argv[0] == "serve":
-        return serve_main(argv[1:])
-    if argv and argv[0] == "lint":
-        return lint_main(argv[1:])
-    args = make_parser().parse_args(argv)
-    step = build_step(args.benchmark, args.qubits, args.seed)
-    device = _resolve_device(args.device, args.qubits)
-    if device is None:
+    argv = sys.argv[1:] if argv is None else argv
+    parser = make_parser()
+    args = parser.parse_args(argv)
+    if args.func is not root_main and argv[0].startswith("-"):
+        # the subcommand's own defaults would silently replace them
+        parser.error("options before a subcommand belong to the root "
+                     "command; pass them after the subcommand")
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        # a bad size for the target, an impossible benchmark instance, a
+        # benchmark the compiler cannot handle, a missing angle, ...
+        print(f"error: {exc}", file=sys.stderr)
         return 1
-
-    compiler = get_compiler("2qan", device=device, gateset=args.gateset,
-                            seed=args.seed,
-                            mapping_trials=args.mapping_trials,
-                            mapping_jobs=args.mapping_jobs)
-    result = compiler.compile(step)
-    print(f"{args.benchmark} n={args.qubits} on {device.name} "
-          f"({args.gateset} basis)")
-    print(f"  2QAN: swaps={result.n_swaps} dressed={result.n_dressed} "
-          f"2q-gates={result.metrics.n_two_qubit_gates} "
-          f"2q-depth={result.metrics.two_qubit_depth} "
-          f"depth={result.metrics.total_depth}")
-    if args.compare:
-        for label, name in (("NoMap", "nomap"), ("tket-like", "tket"),
-                            ("qiskit-like", "qiskit")):
-            baseline = get_compiler(name, device=device,
-                                    gateset=args.gateset, seed=args.seed)
-            r = baseline.compile(step)
-            print(f"  {label}: swaps={r.n_swaps} "
-                  f"2q-gates={r.metrics.n_two_qubit_gates} "
-                  f"2q-depth={r.metrics.two_qubit_depth}")
-    return 0
 
 
 if __name__ == "__main__":

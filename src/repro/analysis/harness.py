@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import networkx as nx
 import numpy as np
 
 from repro.core.decompose import DecomposeCache
@@ -72,17 +73,35 @@ _SWEEP_ANGLES = ((0.35,), (-0.39,))
 
 def _benchmark_graph(benchmark: str, n_qubits: int, instance_seed: int,
                      degree: int):
-    """The random graph behind a QAOA-family benchmark name, or None."""
-    if benchmark.startswith("QAOA-REG"):
-        return random_regular_graph(degree, n_qubits, seed=instance_seed)
-    if benchmark.startswith("QAOA-WR"):
-        from repro.hamiltonians.randomized import weighted_regular_graph
+    """The random graph behind a QAOA-family benchmark name, or None.
 
-        return weighted_regular_graph(degree, n_qubits, seed=instance_seed)
-    if benchmark == "QAOA-ER":
-        from repro.hamiltonians.randomized import weighted_erdos_renyi_graph
+    Also the size gate of :func:`build_step`/:func:`build_symbolic_step`:
+    every benchmark needs at least one two-qubit term, so sizes below 2
+    (and regular graphs networkx cannot build) raise ``ValueError``.
+    """
+    if n_qubits < 2:
+        raise ValueError(
+            f"{benchmark} needs at least 2 qubits, got {n_qubits}"
+        )
+    try:
+        if benchmark.startswith("QAOA-REG"):
+            return random_regular_graph(degree, n_qubits,
+                                        seed=instance_seed)
+        if benchmark.startswith("QAOA-WR"):
+            from repro.hamiltonians.randomized import weighted_regular_graph
 
-        return weighted_erdos_renyi_graph(n_qubits, seed=instance_seed)
+            return weighted_regular_graph(degree, n_qubits,
+                                          seed=instance_seed)
+        if benchmark == "QAOA-ER":
+            from repro.hamiltonians.randomized import (
+                weighted_erdos_renyi_graph,
+            )
+
+            return weighted_erdos_renyi_graph(n_qubits, seed=instance_seed)
+    except nx.NetworkXError as exc:
+        raise ValueError(
+            f"no {benchmark} instance on {n_qubits} qubits: {exc}"
+        ) from None
     return None
 
 

@@ -201,6 +201,24 @@ class CompilationResult:
     initial_map: QubitMap | None = None
     final_map: QubitMap | None = None
 
+    def metric_fields(self) -> dict:
+        """The deterministic metrics as a JSON-ready dict.
+
+        The one source of the ``n_swaps`` .. ``qap_cost`` fields shared
+        by ``repro compile/bind --json`` and the service responses;
+        a NaN ``qap_cost`` (no QAP instance solved) becomes ``None``.
+        """
+        metrics = self.metrics
+        return {
+            "n_swaps": metrics.n_swaps,
+            "n_dressed": metrics.n_dressed,
+            "n_two_qubit_gates": metrics.n_two_qubit_gates,
+            "two_qubit_depth": metrics.two_qubit_depth,
+            "total_depth": metrics.total_depth,
+            "qap_cost": (None if math.isnan(self.qap_cost)
+                         else float(self.qap_cost)),
+        }
+
 
 def result_from_context(ctx: CompilationContext) -> CompilationResult:
     """Package a fully-run context into a :class:`CompilationResult`."""

@@ -151,3 +151,21 @@ def by_name(name: str) -> Device:
         raise ValueError(
             f"unknown device {name!r}; available: {sorted(_BY_NAME)}"
         ) from None
+
+
+def target_device(name: str, n_qubits: int,
+                  requires_device: bool = True) -> Device:
+    """The device a compiler targets for an ``n_qubits``-qubit problem.
+
+    ``all-to-all`` (any case) is sized to the problem, and so is every
+    name when the compiler ignores connectivity (``requires_device``
+    false: NoMap, Paulihedral).  Any other name is a paper device, which
+    must be large enough.  Every front end (CLI, batch, server) resolves
+    its target here, so they all agree on it.
+    """
+    if not requires_device or name.lower() == "all-to-all":
+        return all_to_all(n_qubits)
+    device = by_name(name)
+    if n_qubits > device.n_qubits:
+        raise ValueError(f"{n_qubits} qubits exceed {device.name}")
+    return device

@@ -195,6 +195,10 @@ def normalize_parameters(parameters) -> tuple[tuple[str, float], ...]:
                 f"parameter {name!r} must be a number, "
                 f"got {type(value).__name__} {value!r}"
             )
+        if not math.isfinite(value):
+            raise ValueError(
+                f"parameter {name!r} must be finite, got {value!r}"
+            )
         pairs.append((name, float(value)))
     return tuple(sorted(pairs))
 
@@ -383,19 +387,11 @@ def execute_request(request: CompileRequest,
     from repro.cache.cached import compile_cached
     from repro.core.bind import bind_structural, compile_structural
     from repro.core.registry import get_compiler, resolve_spec
-    from repro.devices.library import all_to_all, by_name
+    from repro.devices.library import target_device
 
     spec = resolve_spec(request.compiler)
-    if spec.requires_device and request.device.lower() != "all-to-all":
-        device = by_name(request.device)
-        if request.n_qubits > device.n_qubits:
-            raise ValueError(
-                f"{request.n_qubits} qubits exceed {device.name}"
-            )
-    else:
-        # all-to-all is sized to the problem, exactly as 'repro compile'
-        # resolves it; device-free compilers get it regardless of name
-        device = all_to_all(request.n_qubits)
+    device = target_device(request.device, request.n_qubits,
+                           spec.requires_device)
     binding = request.binding()
     if binding:
         step = build_symbolic_step(request.benchmark, request.n_qubits,
@@ -422,16 +418,9 @@ def execute_request(request: CompileRequest,
         result = compiler.compile(step, binding=binding or None,
                                   cancel=cancel)
     elapsed = time.perf_counter() - start
-    metrics = result.metrics
     return CompileResponse(
         request=request,
-        n_swaps=metrics.n_swaps,
-        n_dressed=metrics.n_dressed,
-        n_two_qubit_gates=metrics.n_two_qubit_gates,
-        two_qubit_depth=metrics.two_qubit_depth,
-        total_depth=metrics.total_depth,
-        qap_cost=(None if math.isnan(result.qap_cost)
-                  else float(result.qap_cost)),
+        **result.metric_fields(),
         seconds=elapsed,
         timings=dict(result.timings),
         cache_events=dict(result.cache_events),

@@ -9,6 +9,7 @@ from repro.analysis.harness import (
     SweepConfig,
     aggregate,
     build_step,
+    build_symbolic_step,
     compile_with,
     format_rows,
     run_sweep,
@@ -42,6 +43,27 @@ class TestBuildStep:
     def test_unknown_rejected(self):
         with pytest.raises(ValueError):
             build_step("bogus", 6, 0)
+
+    FAMILIES = ["NNN_Heisenberg", "NNN_XY", "NNN_Ising", "QAOA-REG-3",
+                "QAOA-WR-3", "QAOA-ER"]
+
+    @pytest.mark.parametrize("build", [build_step, build_symbolic_step])
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 1])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_sizes_below_two_rejected(self, family, n_qubits, build):
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            build(family, n_qubits, 0)
+
+    @pytest.mark.parametrize("build", [build_step, build_symbolic_step])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_smallest_size(self, family, build):
+        if family in ("QAOA-REG-3", "QAOA-WR-3"):
+            # no 3-regular graph on 2 nodes: networkx's error, as a
+            # ValueError like every other bad problem
+            with pytest.raises(ValueError, match="QAOA"):
+                build(family, 2, 0)
+        else:
+            assert build(family, 2, 0).n_qubits == 2
 
 
 class TestCompileWith:

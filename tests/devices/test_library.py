@@ -12,6 +12,7 @@ from repro.devices.library import (
     manhattan,
     montreal,
     sycamore,
+    target_device,
 )
 
 
@@ -101,3 +102,27 @@ class TestLookup:
     def test_unknown(self):
         with pytest.raises(ValueError):
             by_name("nonexistent")
+
+
+class TestTargetDevice:
+    @pytest.mark.parametrize("name", ["all-to-all", "ALL-TO-ALL",
+                                      "All-To-All"])
+    def test_all_to_all_any_case_sized_to_problem(self, name):
+        device = target_device(name, 30)
+        assert device.name == "all-to-all-30"
+        assert device.n_qubits == 30
+
+    def test_named_device(self):
+        assert target_device("Aspen", 16).name == "aspen-16"
+
+    def test_too_small_device_rejected(self):
+        with pytest.raises(ValueError, match="^17 qubits exceed aspen-16$"):
+            target_device("aspen", 17)
+
+    def test_device_free_compiler_ignores_named_device(self):
+        device = target_device("aspen", 30, requires_device=False)
+        assert device.name == "all-to-all-30"
+
+    def test_unknown_name_rejected(self):
+        with pytest.raises(ValueError, match="unknown device"):
+            target_device("nonexistent", 4)

@@ -113,6 +113,11 @@ class TestExecuteRequest:
         with pytest.raises(ValueError, match="exceed"):
             execute_request(CompileRequest(n_qubits=99, device="aspen"))
 
+    @pytest.mark.parametrize("n_qubits", [-1, 0, 1])
+    def test_size_below_two_raises(self, n_qubits):
+        with pytest.raises(ValueError, match="at least 2 qubits"):
+            execute_request(CompileRequest(n_qubits=n_qubits))
+
     def test_device_free_compiler_any_size(self):
         response = execute_request(CompileRequest(
             compiler="nomap", benchmark="NNN_Ising", n_qubits=40))
@@ -327,6 +332,14 @@ class TestParameterisedRequests:
             request_from_dict({**self.BASE, "parameters": {"gamma": True}})
         with pytest.raises(ValueError, match="names"):
             request_from_dict({**self.BASE, "parameters": {"": 1.0}})
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_from_dict_rejects_non_finite_parameters(self, literal):
+        # json.loads accepts these literals; the request must not
+        payload = json.loads(
+            f'{{"gamma": 0.4, "beta": {literal}}}')
+        with pytest.raises(ValueError, match="'beta' must be finite"):
+            request_from_dict({**self.BASE, "parameters": payload})
 
     def test_concrete_key_unchanged_by_field_addition(self):
         # concrete requests must keep their historical dedupe keys, so a

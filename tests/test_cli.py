@@ -4,13 +4,8 @@ import json
 
 import pytest
 
-from repro.__main__ import (
-    main,
-    make_batch_parser,
-    make_compile_parser,
-    make_parser,
-    make_sweep_parser,
-)
+from repro.__main__ import main, make_parser
+from repro.core.registry import compiler_names
 
 
 class TestParser:
@@ -23,6 +18,19 @@ class TestParser:
     def test_invalid_benchmark(self):
         with pytest.raises(SystemExit):
             make_parser().parse_args(["--benchmark", "bogus"])
+
+    def test_subcommand_defaults_are_its_own(self):
+        args = make_parser().parse_args(["bind", "--bind", "t=1"])
+        assert args.benchmark == "QAOA-REG-3"
+        assert make_parser().parse_args(["compile"]).benchmark == \
+            "NNN_Heisenberg"
+
+    def test_root_options_before_subcommand_rejected(self, capsys):
+        """They would be silently replaced by the subcommand's defaults."""
+        with pytest.raises(SystemExit) as exc:
+            main(["--device", "aspen", "sweep"])
+        assert exc.value.code == 2
+        assert "before a subcommand" in capsys.readouterr().err
 
 
 class TestMain:
@@ -57,12 +65,12 @@ class TestMain:
 
 class TestCompileCommand:
     def test_defaults(self):
-        args = make_compile_parser().parse_args([])
+        args = make_parser().parse_args(["compile"])
         assert args.compiler == "2qan"
 
     def test_unknown_compiler_rejected(self):
         with pytest.raises(SystemExit):
-            make_compile_parser().parse_args(["--compiler", "bogus"])
+            make_parser().parse_args(["compile", "--compiler", "bogus"])
 
     def test_registry_compiler_runs(self, capsys):
         code = main(["compile", "--compiler", "tket", "--benchmark",
@@ -128,14 +136,14 @@ class TestCompileCommand:
 
 class TestSweepParser:
     def test_defaults(self):
-        args = make_sweep_parser().parse_args([])
+        args = make_parser().parse_args(["sweep"])
         assert args.sizes == "6,10,14"
         assert args.jobs is None
         assert args.store is None
 
     def test_invalid_device(self):
         with pytest.raises(SystemExit):
-            make_sweep_parser().parse_args(["--device", "bogus"])
+            make_parser().parse_args(["sweep", "--device", "bogus"])
 
 
 class TestSweepCommand:
@@ -269,7 +277,7 @@ class TestBatchCommand:
 
     def test_parser_requires_requests(self):
         with pytest.raises(SystemExit):
-            make_batch_parser().parse_args([])
+            make_parser().parse_args(["batch"])
 
     def test_text_output_marks_duplicates(self, tmp_path, capsys):
         path = self._write_requests(tmp_path, self.REQUESTS)
@@ -426,3 +434,80 @@ class TestBindCommand:
         with pytest.raises(SystemExit):
             main(["--help"])
         assert "repro bind" in capsys.readouterr().out
+
+
+class TestNonFiniteBindings:
+    @pytest.mark.parametrize("command", ["compile", "bind"])
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_rejected_naming_the_parameter(self, command, value, capsys):
+        code = main([command, "--benchmark", "NNN_Ising", "--qubits", "6",
+                     "--device", "aspen", "--bind", f"t={value}"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "bad --bind" in err
+        assert "t must be finite" in err
+
+
+class TestSizesBelowTwo:
+    """Every front end reports an impossible size as one error line."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--qubits", "0"],
+        ["compile", "--qubits", "0"],
+        ["compile", "--qubits", "1", "--benchmark", "QAOA-ER"],
+        ["bind", "--qubits", "0", "--bind", "gamma=1,beta=1"],
+        ["bind", "--qubits", "-1", "--benchmark", "NNN_Ising",
+         "--bind", "t=1"],
+        ["sweep", "--sizes", "0", "--compilers", "nomap", "--jobs", "1"],
+    ])
+    def test_cli_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "at least 2 qubits" in err
+
+    def test_impossible_regular_graph(self, capsys):
+        assert main(["compile", "--benchmark", "QAOA-REG-3",
+                     "--qubits", "2"]) == 1
+        assert "no QAOA-REG-3 instance on 2 qubits" in capsys.readouterr().err
+
+    def test_batch_request(self, tmp_path, capsys):
+        path = tmp_path / "requests.json"
+        path.write_text(json.dumps([{"n_qubits": 0}]))
+        assert main(["batch", "--requests", str(path)]) == 1
+        assert "at least 2 qubits" in capsys.readouterr().err
+
+
+class TestFrontEndsAgree:
+    """'repro compile --json' and the service resolve the same target
+    and report the same metrics."""
+
+    FIELDS = ("n_swaps", "n_dressed", "n_two_qubit_gates",
+              "two_qubit_depth", "total_depth", "qap_cost")
+
+    def _both(self, capsys, compiler, n_qubits, device):
+        from repro.service.batch import CompileRequest, execute_request
+
+        assert main(["compile", "--compiler", compiler, "--benchmark",
+                     "NNN_Ising", "--qubits", str(n_qubits), "--device",
+                     device, "--gateset", "CNOT", "--json"]) == 0
+        cli = json.loads(capsys.readouterr().out)
+        served = execute_request(CompileRequest(
+            compiler=compiler, benchmark="NNN_Ising", n_qubits=n_qubits,
+            device=device.upper(), gateset="CNOT", seed=0)).to_dict()
+        return ({f: cli[f] for f in self.FIELDS},
+                {f: served[f] for f in self.FIELDS})
+
+    @pytest.mark.parametrize("compiler", compiler_names())
+    def test_every_registry_compiler_on_aspen(self, compiler, capsys):
+        cli, served = self._both(capsys, compiler, 6, "aspen")
+        assert cli == served
+
+    def test_all_to_all(self, capsys):
+        cli, served = self._both(capsys, "2qan", 6, "all-to-all")
+        assert cli == served
+        assert cli["n_swaps"] == 0
+
+    def test_device_free_compiler_on_too_small_device(self, capsys):
+        cli, served = self._both(capsys, "nomap", 20, "aspen")
+        assert cli == served
