@@ -72,7 +72,10 @@ def _update(h, obj: object) -> None:  # noqa: PLR0912 - one dispatch table
         h.update(obj)
     elif isinstance(obj, np.ndarray):
         _tag(h, "ndarray")
-        rounded = np.ascontiguousarray(np.round(obj, _ROUND_DECIMALS))
+        # round only inexact dtypes: np.round rejects bool arrays and is
+        # the identity on integer ones
+        rounded = np.ascontiguousarray(
+            np.round(obj, _ROUND_DECIMALS) if obj.dtype.kind in "fc" else obj)
         h.update(str(rounded.shape).encode())
         h.update(rounded.dtype.str.encode())
         h.update(rounded.tobytes())

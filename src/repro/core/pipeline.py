@@ -293,17 +293,18 @@ class MapPass:
     Honours a fixed ``ctx.initial`` assignment when the driver provides
     one (scoring it on the QAP instance instead of searching).
 
-    The Tabu search runs on the vectorized delta-table kernel
-    (:meth:`repro.mapping.qap.QAPInstance.swap_delta_matrix` plus the
-    Taillard-style O(n^2) incremental updates); interaction-count flows
-    and hop-count distances are integer-valued, so the kernel is exact
-    and the selected mapping is bit-identical to the old scalar scan --
-    see "Mapping performance" in ``docs/architecture.md``.
+    Serially, the ``trials`` Tabu searches run in lockstep on one
+    stacked gain-matrix tensor (:func:`repro.mapping.tabu.tabu_trials`),
+    each trial updated by a rank-1 term per move; interaction-count
+    flows and hop-count distances are integer-valued, so the kernel is
+    exact and every trial's trajectory is bit-identical to running it
+    alone -- see "Mapping performance" in ``docs/architecture.md``.
 
-    ``jobs > 1`` fans the Tabu trials out over a process pool; per-trial
-    seeding is identical to the serial loop, so the selected mapping is
-    bit-identical for every worker count (which is why ``jobs`` is
-    excluded from the pass's cache fingerprint).
+    ``jobs > 1`` fans the Tabu trials out over a process pool, one
+    1-trial search each; per-trial seeding is identical to the serial
+    path, so the selected mapping is bit-identical for every worker
+    count (which is why ``jobs`` is excluded from the pass's cache
+    fingerprint).
     """
 
     trials: int = 5

@@ -5,12 +5,13 @@ The paper runs randomized mapping five times and keeps the best result
 that protocol around any QAP solver.  ``line_placement`` mirrors t|ket>'s
 LinePlacement fallback used for large circuits.
 
-All bundled solvers (:func:`~repro.mapping.tabu.tabu_search`,
-:func:`~repro.mapping.annealing.simulated_annealing`,
-:func:`~repro.mapping.grasp.grasp_search`) probe moves through the
-vectorized :class:`~repro.mapping.qap.QAPInstance` delta kernels, so a
-best-of-k wrapper around any of them inherits the vectorized speed with
-bit-identical trial outcomes.
+With the default solver, :func:`~repro.mapping.tabu.tabu_search`, the
+serial path runs all ``k`` trials as one lockstep search
+(:func:`~repro.mapping.tabu.tabu_trials`): one stacked gain-matrix
+tensor, so each numpy call serves every trial, and each trial's result
+is bit-identical to running it alone.  Any other solver
+(:func:`~repro.mapping.annealing.simulated_annealing`,
+:func:`~repro.mapping.grasp.grasp_search`) runs its trials one by one.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from repro.devices.topology import Device
 from repro.mapping.qap import QAPInstance
-from repro.mapping.tabu import TabuResult, tabu_search
+from repro.mapping.tabu import TabuResult, tabu_search, tabu_trials
 
 
 def identity_mapping(n_logical: int, device: Device) -> np.ndarray:
@@ -88,11 +89,13 @@ def best_of_k_mapping(instance: QAPInstance, k: int = 5, seed: int = 0,
                       jobs: int = 1, **solver_kwargs) -> TabuResult:
     """Run the solver ``k`` times with different seeds; keep the best.
 
-    ``jobs > 1`` fans the trials out over a process pool.  Each trial's
-    seed is derived exactly as in the serial loop and the best-result
-    selection scans trials in order with a strict ``<``, so the chosen
-    mapping is bit-identical for every ``jobs`` value -- parallelism
-    changes wall time only.
+    Trial ``t`` is seeded ``seed + 1000 * t``.  Serially, Tabu trials
+    run in lockstep and other solvers one after another; ``jobs > 1``
+    fans the trials out over a process pool, one solver call each.
+    Every path seeds the trials alike and the best-result selection
+    scans them in order with a strict ``<``, so the chosen mapping is
+    bit-identical for every ``jobs`` value -- parallelism changes wall
+    time only.
     """
     trial_seeds = [seed + 1000 * trial for trial in range(k)]
     if jobs > 1 and k > 1:
@@ -103,6 +106,8 @@ def best_of_k_mapping(instance: QAPInstance, k: int = 5, seed: int = 0,
                 _solve_trial,
                 [(solver, instance, s, solver_kwargs) for s in trial_seeds],
             ))
+    elif solver is tabu_search:
+        results = tabu_trials(instance, trial_seeds, **solver_kwargs)
     else:
         results = [solver(instance, seed=s, **solver_kwargs)
                    for s in trial_seeds]

@@ -13,17 +13,21 @@ formulation works *better* for 2-local Hamiltonian simulation than for
 generic circuits because any NN operator can be scheduled in any map,
 making gate order irrelevant to the objective.
 
-Neighbourhood evaluation is vectorized (the Taillard robust-taboo-search
-delta-table scheme, the paper's refs [52, 53]):
-:meth:`QAPInstance.swap_delta_matrix` scores *every* swap move at once,
-:meth:`QAPInstance.relocate_delta_matrix` every relocation to a free
-location, and :meth:`QAPInstance.update_deltas_after_swap` /
-:meth:`QAPInstance.update_deltas_after_relocate` refresh the table in
-O(n^2) after a move instead of recomputing from scratch.  Because both
-``flow`` (interaction counts) and ``distance`` (hop counts) are
-integer-valued, every vectorized float64 sum is a sum of exactly
-representable integers and therefore *exact*, independent of summation
-order -- the vectorized kernels return bit-identical values to the
+Two neighbourhood kernels sit on top of the instance.  The Tabu search
+(:mod:`repro.mapping.tabu`) keeps the *gain matrix*
+``G[i, p] = sum_k F[i, k] * D[p, a_k]`` -- the flow-weighted distance
+from physical location ``p`` to logical ``i``'s partners -- and reads
+every swap and relocation delta off it.  GRASP keeps the Taillard
+swap-delta table (the paper's refs [52, 53]):
+:meth:`QAPInstance.swap_delta_matrix` scores every swap move at once and
+:meth:`QAPInstance.update_deltas_after_swap` refreshes it in O(n^2)
+after a move.  The gain-matrix closed forms rely on the preconditions
+:meth:`QAPInstance.__post_init__` enforces: a symmetric flow with a zero
+diagonal (no self-interaction) and a symmetric distance with a zero
+diagonal.  Because ``flow`` (interaction counts) and ``distance`` (hop
+counts) are integer-valued, every vectorized float64 sum is a sum of
+exactly representable integers and therefore *exact*, independent of
+summation order -- the kernels return bit-identical values to the
 retained scalar references (:meth:`QAPInstance.swap_delta_reference`,
 :meth:`QAPInstance.relocate_delta_reference`).
 """
@@ -44,7 +48,10 @@ class QAPInstance:
 
     ``flow`` is ``n_logical x n_logical``; ``distance`` is
     ``n_physical x n_physical`` with ``n_physical >= n_logical``.
-    An assignment maps logical index ``i`` to ``assignment[i]``.
+    Both are symmetric with a zero diagonal; construction rejects
+    anything else, since the Tabu gain-matrix closed forms drop the
+    ``k = i`` terms on that assumption.  An assignment maps logical
+    index ``i`` to ``assignment[i]``.
     """
 
     flow: np.ndarray
@@ -59,6 +66,12 @@ class QAPInstance:
             raise ValueError("more logical qubits than physical qubits")
         if not np.allclose(self.flow, self.flow.T):
             raise ValueError("flow matrix must be symmetric")
+        if np.any(np.diagonal(self.flow)):
+            raise ValueError("flow matrix must have a zero diagonal")
+        if not np.array_equal(self.distance, self.distance.T):
+            raise ValueError("distance matrix must be symmetric")
+        if np.any(np.diagonal(self.distance)):
+            raise ValueError("distance matrix must have a zero diagonal")
 
     @property
     def n_logical(self) -> int:
@@ -147,22 +160,6 @@ class QAPInstance:
         np.fill_diagonal(delta, 0.0)
         return delta
 
-    def relocate_delta_matrix(self, assignment: np.ndarray,
-                              free: np.ndarray) -> np.ndarray:
-        """All relocation deltas at once: ``delta[i, l]`` is the cost
-        change of moving logical ``i`` to the free location ``free[l]``.
-        """
-        free = np.asarray(free, dtype=int)
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        to_free = self.distance[np.ix_(free, assignment)]
-        cross = flow @ to_free.T                # cross[i, l] = sum_k F[i,k] D[free_l, a_k]
-        diag_sum = np.einsum("ik,ik->i", flow, sub)
-        k_is_i = np.diagonal(flow)[:, None] * (
-            to_free.T - np.diagonal(sub)[:, None]
-        )
-        return 2.0 * (cross - diag_sum[:, None] - k_is_i)
-
     def swap_delta_row(self, assignment: np.ndarray, i: int) -> np.ndarray:
         """One row of :meth:`swap_delta_matrix`: deltas of swapping ``i``
         with every other logical qubit, under ``assignment``."""
@@ -199,27 +196,6 @@ class QAPInstance:
             row = self.swap_delta_row(assignment, moved)
             delta[moved, :] = row
             delta[:, moved] = row
-        return delta
-
-    def update_deltas_after_relocate(self, delta: np.ndarray,
-                                     assignment: np.ndarray,
-                                     i: int, old_loc: int) -> np.ndarray:
-        """Refresh a delta table in place after relocating ``i``.
-
-        ``assignment`` is the assignment *after* the move (``i`` now
-        sits on its new location) and ``old_loc`` the location it
-        vacated.  Only the ``k = i`` summation term of each entry
-        changes; row/column ``i`` are recomputed.  O(n^2), exact for
-        integer-valued instances.
-        """
-        flow_i = self.flow[:, i]
-        shift = (self.distance[assignment[i], assignment]
-                 - self.distance[old_loc, assignment])
-        delta -= 2.0 * np.subtract.outer(flow_i, flow_i) \
-            * np.subtract.outer(shift, shift)
-        row = self.swap_delta_row(assignment, i)
-        delta[i, :] = row
-        delta[:, i] = row
         return delta
 
 

@@ -7,23 +7,39 @@ Standard recency-based Tabu search over the swap neighbourhood:
   a free physical qubit);
 * after a move, re-assigning qubit ``i`` to its old location is tabu for
   ``tenure`` iterations;
-* the aspiration criterion admits tabu moves that beat the incumbent.
+* the aspiration criterion admits tabu moves that beat the incumbent;
+* every ``4 * tenure`` iterations a search on a zero-delta plateau makes
+  one random swap to diversify.
 
-The neighbourhood is evaluated on the vectorized delta table
-(:meth:`QAPInstance.swap_delta_matrix`), refreshed in O(n^2) per
-iteration via the Taillard-style incremental updates instead of O(n^2)
-scalar probes of O(n) each.  Tabu/aspiration filtering is a boolean
-mask and best-move selection a masked argmin that scans the strict
-upper triangle in the same ``(i, j)`` lexicographic order as the old
-scalar loops, so for integer-valued instances (interaction-count flows,
-hop-count distances) the search trajectory -- and therefore the
-returned assignment and cost -- is bit-identical, only faster.
+The neighbourhood is read off one **gain matrix** per trial,
+``G[i, p] = sum_k F[i, k] * D[p, a_k]``: the flow-weighted distance from
+physical location ``p`` to logical ``i``'s partners under assignment
+``a``.  With zero flow/distance diagonals and a symmetric distance (the
+:class:`~repro.mapping.qap.QAPInstance` preconditions), moving ``i`` to
+a free location ``p`` changes the cost by ``2 (G[i, p] - G[i, a_i])``
+and swapping ``i`` and ``j`` by ``2 (H + H^T + 2 F * D[a][:, a])[i, j]``
+with ``H[i, j] = G[i, a_j] - G[i, a_i]``.  A move changes ``G`` by one
+rank-1 term, ``(F[:, i] - F[:, j]) (x) (D[:, new_i] - D[:, old_i])``
+(``F[:, j]`` dropped for a relocation), so an iteration costs a few
+O(n m) array operations and no table is ever rebuilt.
+
+:func:`tabu_trials` runs several trials in *lockstep*: their gain
+matrices are stacked into one ``(k, n, m)`` tensor, so every numpy call
+serves all trials, while each trial keeps its own RNG, tabu list, cost,
+incumbent and early stop.  :func:`tabu_search` is the 1-trial call of
+the same loop.  Best-move selection takes the first strict minimum in
+``(i, j)`` lexicographic order for swaps and ``(i, p)`` order for
+relocations (physical order is the sorted free-list order), and a
+relocation wins only on a strictly smaller delta.  For integer-valued
+instances (interaction-count flows, hop-count distances) every entry is
+exact, so each trial's trajectory is bit-identical to running it alone
+through the scalar reference probes.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -44,96 +60,190 @@ class TabuResult:
     iterations: int
 
 
+def gain_matrix(instance: QAPInstance,
+                assignments: np.ndarray) -> np.ndarray:
+    """Stacked gain matrices ``G[t, i, p] = sum_k F[i, k] D[p, a[t, k]]``
+    for a ``(trials, n)`` stack of assignments."""
+    return instance.flow @ instance.distance[assignments]
+
+
+def half_deltas(instance: QAPInstance, gain: np.ndarray,
+                assignments: np.ndarray,
+                free: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Half of every move delta, read off the stacked gain matrices.
+
+    ``free`` is ``(trials, f)``: each trial's free locations.  Returns
+    ``(swaps, relocations)``: ``2 * swaps[t, i, j]`` is the cost change
+    of swapping logical ``i`` and ``j`` in trial ``t`` (zero diagonal)
+    and ``2 * relocations[t, i, l]`` that of moving ``i`` to
+    ``free[t, l]``.  Halving is exact, so comparisons and argmin ties
+    are those of the full deltas.
+    """
+    trials, n = assignments.shape
+    rows = np.arange(trials * n).reshape(trials, n, 1) * gain.shape[2]
+    at = rows + assignments[:, None, :]          # flat index of [t, i, a_tj]
+    gain_at = gain.take(at)
+    own = np.diagonal(gain_at, axis1=1, axis2=2)[:, :, None]  # G[t, i, a_ti]
+    lift = gain_at - own
+    swaps = lift + lift.transpose(0, 2, 1)
+    swaps += 2.0 * instance.flow * instance.distance[assignments].take(at)
+    relocations = gain.take(rows + free[:, None, :]) - own
+    return swaps, relocations
+
+
+def update_gain(instance: QAPInstance, gain: np.ndarray,
+                trials: np.ndarray, weight: np.ndarray,
+                old: np.ndarray, new: np.ndarray) -> None:
+    """Apply one move per listed trial to the stacked gain matrices.
+
+    In trial ``trials[r]`` a logical qubit goes from ``old[r]`` to
+    ``new[r]``; ``weight[r]`` is its flow column, minus the partner's
+    for a swap (the partner goes the other way).  A rank-1 update.
+    """
+    distance = instance.distance
+    gain[trials] += weight[:, :, None] * (distance[new]
+                                          - distance[old])[:, None, :]
+
+
+def _diversify(instance: QAPInstance, gain: np.ndarray,
+               current: np.ndarray, cost: np.ndarray,
+               trials: np.ndarray, rngs: list) -> None:
+    """One random swap in each listed trial, in place.  Its delta is
+    read off the *post-move* gains: a delta scored before the iteration's
+    move would be stale."""
+    pairs = np.array([rng.choice(instance.n_logical, size=2, replace=False)
+                      for rng in rngs])
+    a, b = pairs[:, 0], pairs[:, 1]
+    swaps, _ = half_deltas(instance, gain[trials], current[trials],
+                           np.empty((len(trials), 0), dtype=int))
+    cost[trials] += 2.0 * swaps[np.arange(len(trials)), a, b]
+    loc_a, loc_b = current[trials, a], current[trials, b]
+    current[trials, a], current[trials, b] = loc_b, loc_a
+    update_gain(instance, gain, trials, instance.flow[a] - instance.flow[b],
+                loc_a, loc_b)
+
+
 def tabu_search(instance: QAPInstance, seed: int = 0,
                 max_iterations: int | None = None,
                 tenure: int | None = None,
                 initial: np.ndarray | None = None) -> TabuResult:
     """Minimise the QAP objective; returns the best assignment found."""
-    rng = np.random.default_rng(seed)
+    return tabu_trials(instance, (seed,), max_iterations=max_iterations,
+                       tenure=tenure, initial=initial)[0]
+
+
+def tabu_trials(instance: QAPInstance, seeds: Sequence[int],
+                max_iterations: int | None = None,
+                tenure: int | None = None,
+                initial: np.ndarray | None = None) -> list[TabuResult]:
+    """One independent Tabu search per seed, run in lockstep.
+
+    Result ``t`` is bit-identical to ``tabu_search(instance, seeds[t])``
+    with the same keyword arguments.
+    """
     n = instance.n_logical
     m = instance.n_physical
+    k = len(seeds)
+    flow = instance.flow
     if max_iterations is None:
         max_iterations = max(200, 20 * n)
     if tenure is None:
         tenure = max(5, n // 2)
 
+    rngs = [np.random.default_rng(seed) for seed in seeds]
     if initial is None:
-        current = np.array(rng.permutation(m)[:n])
+        current = np.array([rng.permutation(m)[:n] for rng in rngs])
     else:
-        current = np.array(initial, dtype=int)
-        if len(set(current.tolist())) != n:
+        start = np.array(initial, dtype=int)
+        if len(set(start.tolist())) != n:
             raise ValueError("initial assignment must be injective")
-    cost = instance.cost(current)
+        current = np.tile(start, (k, 1))
+    cost = np.array([instance.cost(row) for row in current])
     best = current.copy()
-    best_cost = cost
+    best_cost = cost.copy()
+    performed = np.full(k, max_iterations)
+    gain = gain_matrix(instance, current)
 
-    # tabu[i, loc] = iteration until which assigning logical i to physical
-    # loc is forbidden.
-    tabu = np.zeros((n, m), dtype=int)
+    # tabu[t, i, loc] = iteration until which trial t may not assign
+    # logical i to physical loc
+    tabu = np.zeros((k, n, m), dtype=int)
+    trial = np.arange(k)
+    moving = trial                           # the trials still searching
+    rows = np.arange(k * n).reshape(k, n, 1) * m
+    not_upper = np.tril(np.ones((n, n), dtype=bool))
+    # each trial's free locations, kept in ascending order
+    free = np.array([np.setdiff1d(np.arange(m), row) for row in current],
+                    dtype=int).reshape(k, m - n)
+    diversify_every = 4 * tenure
 
-    free = sorted(set(range(m)) - set(current.tolist()))
-
-    deltas = instance.swap_delta_matrix(current)
-    logical = np.arange(n)
-    upper = np.triu(np.ones((n, n), dtype=bool), k=1)
-
-    performed = max_iterations
     for iteration in range(max_iterations):
-        # swap moves between logical qubits: mask out the lower triangle
-        # plus tabu moves that fail aspiration, then take the first
-        # strict minimum in (i, j) lexicographic order (np.argmin
-        # returns the first occurrence, matching the old scalar scan)
-        tabu_hit = tabu[logical[:, None], current[None, :]] > iteration
-        blocked = (tabu_hit | tabu_hit.T) & (cost + deltas >= best_cost)
-        candidates = np.where(upper & ~blocked, deltas, np.inf)
-        flat = int(np.argmin(candidates))
-        best_delta = candidates.flat[flat]
-        best_move = None
-        if best_delta < np.inf:
-            best_move = ("swap", flat // n, flat % n)
+        swaps, moves = half_deltas(instance, gain, current, free)
+        # a tabu move must beat the incumbent (aspiration)
+        slack = (0.5 * (best_cost - cost))[:, None, None]
+        # swap moves: mask the lower triangle plus tabu moves that fail
+        # aspiration, then take the first strict minimum in (i, j)
+        # lexicographic order (argmin returns the first occurrence)
+        tabu_hit = tabu.take(rows + current[:, None, :]) > iteration
+        blocked = tabu_hit | tabu_hit.transpose(0, 2, 1)
+        blocked &= swaps >= slack
+        blocked |= not_upper
+        swaps[blocked] = np.inf
+        flat = swaps.reshape(k, -1).argmin(axis=1)
+        half = swaps.reshape(k, -1)[trial, flat]
+        mover, partner = np.divmod(flat, n)
         # relocation moves to free physical qubits (devices larger than
-        # the problem); a relocation wins only on a strictly smaller
-        # delta, as in the scalar scan order (swaps probed first)
-        if free:
-            free_arr = np.array(free)
-            relocations = instance.relocate_delta_matrix(current, free_arr)
-            reloc_tabu = tabu[logical[:, None], free_arr[None, :]] > iteration
-            reloc_blocked = reloc_tabu & (cost + relocations >= best_cost)
-            reloc_candidates = np.where(reloc_blocked, np.inf, relocations)
-            reloc_flat = int(np.argmin(reloc_candidates))
-            reloc_delta = reloc_candidates.flat[reloc_flat]
-            if reloc_delta < best_delta:
-                best_delta = reloc_delta
-                best_move = ("move", reloc_flat // len(free),
-                             reloc_flat % len(free))
-        if best_move is None:
-            performed = iteration + 1
-            break
-        if best_move[0] == "swap":
-            _, i, j = best_move
-            tabu[i, current[i]] = iteration + tenure
-            tabu[j, current[j]] = iteration + tenure
-            current[i], current[j] = current[j], current[i]
-            instance.update_deltas_after_swap(deltas, current, i, j)
-        else:
-            _, i, loc_idx = best_move
-            tabu[i, current[i]] = iteration + tenure
-            old = int(current[i])
-            current[i] = free[loc_idx]
-            # order-preserving insert instead of re-sorting the whole list
-            del free[loc_idx]
-            insort(free, old)
-            instance.update_deltas_after_relocate(deltas, current, i, old)
-        cost += float(best_delta)
-        if cost < best_cost - 1e-12:
-            best_cost = cost
-            best = current.copy()
-        # occasional diversification when stuck at zero-delta plateaus
-        if best_delta >= 0 and iteration % (4 * tenure) == 4 * tenure - 1:
-            i, j = rng.choice(n, size=2, replace=False)
-            i, j = int(i), int(j)
-            cost += float(deltas[i, j])
-            current[i], current[j] = current[j], current[i]
-            instance.update_deltas_after_swap(deltas, current, i, j)
-    return TabuResult(best, float(best_cost), performed)
+        # the problem), scanned in ascending physical order; one wins
+        # only on a strictly smaller delta.  A relocating qubit is its
+        # own partner, so the swap bookkeeping below serves both moves.
+        relocate = None
+        if free.shape[1]:
+            tabu_free = tabu.take(rows + free[:, None, :]) > iteration
+            moves[tabu_free & (moves >= slack)] = np.inf
+            flat = moves.reshape(k, -1).argmin(axis=1)
+            move_half = moves.reshape(k, -1)[trial, flat]
+            wins = move_half < half
+            if wins.any():
+                relocate = wins
+                half = np.where(wins, move_half, half)
+                relocated, slot = np.divmod(flat, free.shape[1])
+                mover = np.where(wins, relocated, mover)
+                partner = np.where(wins, relocated, partner)
+        delta = 2.0 * half
 
+        stuck = np.isinf(delta[moving])
+        if stuck.any():
+            performed[moving[stuck]] = iteration + 1
+            moving = moving[~stuck]
+            if not len(moving):
+                break
+        i, j = mover[moving], partner[moving]
+        # ``left`` is the location j leaves: i's own when relocating
+        old, left = current[moving, i], current[moving, j]
+        new = left
+        weight = flow[i] - flow[j]
+        if relocate is not None:
+            shifted = relocate[moving]
+            new = np.where(shifted, free[moving, slot[moving]], new)
+            weight[shifted] = flow[i[shifted]]
+            free[moving[shifted], slot[moving[shifted]]] = old[shifted]
+            free.sort(axis=1)
+        tabu[moving, i, old] = iteration + tenure
+        tabu[moving, j, left] = iteration + tenure
+        current[moving, j] = old
+        current[moving, i] = new
+        update_gain(instance, gain, moving, weight, old, new)
+        cost[moving] += delta[moving]
+        improved = cost < best_cost - 1e-12
+        if improved.any():
+            best_cost[improved] = cost[improved]
+            best[improved] = current[improved]
+
+        # occasional diversification when stuck at zero-delta plateaus
+        if iteration % diversify_every == diversify_every - 1:
+            plateau = moving[delta[moving] >= 0]
+            if plateau.size:
+                _diversify(instance, gain, current, cost, plateau,
+                           [rngs[t] for t in plateau])
+    return [TabuResult(best[t].copy(), float(best_cost[t]),
+                       int(performed[t]))
+            for t in range(k)]

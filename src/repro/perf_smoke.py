@@ -32,6 +32,7 @@ from repro.devices import sycamore
 from repro.hamiltonians.models import nnn_heisenberg
 from repro.hamiltonians.trotter import trotter_step
 from repro.mapping.qap import qap_from_problem
+from repro.mapping.tabu import tabu_search, tabu_trials
 from repro.quantum.gates import standard_gate_unitary
 from repro.quantum.unitaries import random_unitary
 from repro.synthesis.gateset import get_gateset
@@ -152,6 +153,19 @@ def _swap_deltas_reference(inputs) -> np.ndarray:
     return deltas
 
 
+def _tabu_inputs():
+    """The n=34 sycamore instance and best-of-5's trial seeds."""
+    return (qap_from_problem(_heisenberg_step(34), sycamore()),
+            tuple(1000 * trial for trial in range(5)))
+
+
+def _trials_identical(lockstep, one_by_one) -> bool:
+    return len(lockstep) == len(one_by_one) and all(
+        np.array_equal(a.assignment, b.assignment) and a.cost == b.cost
+        and a.iterations == b.iterations
+        for a, b in zip(lockstep, one_by_one))
+
+
 def _routing_inputs():
     device = sycamore()
     return _heisenberg_step(34), device, _random_placement(34,
@@ -211,6 +225,14 @@ CASES: tuple[Case, ...] = (
          reference=_swap_deltas_reference,
          identical=lambda fast, ref: np.array_equal(np.triu(fast, k=1), ref),
          floor=3.0),
+    Case("tabu", "n=34 Heisenberg/sycamore best-of-5 Tabu, lockstep "
+                 "trials vs five 1-trial searches",
+         build=_tabu_inputs,
+         fast=lambda inputs: tabu_trials(*inputs),
+         reference=lambda inputs: [tabu_search(inputs[0], seed=seed)
+                                   for seed in inputs[1]],
+         identical=_trials_identical,
+         floor=1.5, rounds=3),
     Case("routing", "n=34 Heisenberg/sycamore, incremental vs "
                     "scalar-rescan router",
          build=_routing_inputs,

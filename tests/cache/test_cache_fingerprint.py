@@ -63,6 +63,22 @@ class TestArrays:
     def test_real_difference_detected(self):
         assert fingerprint(np.array([1.0])) != fingerprint(np.array([1.1]))
 
+    @pytest.mark.parametrize("array", [np.array(True),
+                                       np.array([[True, False],
+                                                 [False, True]])])
+    def test_bool_arrays(self, array):
+        assert fingerprint(array) == fingerprint(array.copy())
+        assert fingerprint(array) != fingerprint(~array)
+        assert fingerprint(array) != fingerprint(array.astype(int))
+
+    def test_integer_and_float_digests_pinned(self):
+        # only inexact dtypes are rounded; these digests predate the
+        # bool fix and must never move
+        assert fingerprint(np.arange(6).reshape(2, 3)) == "475e1c5b4915b728"
+        assert fingerprint(np.array([0.5, 1.25 + 1e-14])) == \
+            "660ea8705ad613d3"
+        assert fingerprint(np.array([1j, 2.0])) == "1b3a88e9bd7f2fbb"
+
 
 class TestCompilationValues:
     def test_step_deterministic_across_builds(self):

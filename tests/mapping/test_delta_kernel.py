@@ -1,21 +1,34 @@
-"""Equivalence tests for the vectorized QAP neighbourhood kernel.
+"""Equivalence tests for the vectorized QAP neighbourhood kernels.
 
-Every vectorized entry point (`swap_delta_matrix`,
-`relocate_delta_matrix`, `swap_delta_row`, the O(n^2) incremental
-updates, and the vectorized single-move `swap_delta`) is pinned
-*bit-for-bit* (`==`, not `isclose`) against the retained scalar
-reference implementations on randomized integer-valued instances: the
-flows and distances are integers, so every float64 sum is exact and the
-vectorized evaluation order cannot change a single bit.  Covered
-shapes: square instances (no spare locations), spare-qubit devices,
-and zero-flow rows (isolated qubits).
+Every vectorized entry point is pinned *bit-for-bit* (`==`, not
+`isclose`) against the retained scalar reference implementations on
+randomized integer-valued instances: the flows and distances are
+integers, so every float64 sum is exact and the vectorized evaluation
+order cannot change a single bit.  Two kernels are covered:
+
+* GRASP's Taillard swap-delta table (`swap_delta_matrix`,
+  `swap_delta_row`, the O(n^2) `update_deltas_after_swap`) and the
+  single-move `swap_delta`;
+* Tabu's gain matrix (`gain_matrix`, `half_deltas`, the rank-1
+  `update_gain`), including a walk that mixes swap and relocation
+  moves, and the lockstep search built on it.
+
+Covered shapes: square instances (no spare locations), spare-qubit
+devices, and zero-flow rows (isolated qubits).
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.mapping.qap import QAPInstance
+from repro.mapping.tabu import (
+    gain_matrix,
+    half_deltas,
+    tabu_search,
+    tabu_trials,
+    update_gain,
+)
 
 
 def random_instance(seed: int) -> tuple[QAPInstance, np.ndarray, np.ndarray]:
@@ -81,20 +94,6 @@ class TestSwapDeltas:
                                   matrix[i])
 
 
-class TestRelocateDeltas:
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=60, deadline=None)
-    def test_matrix_matches_scalar_reference(self, seed):
-        instance, assignment, free = random_instance(seed)
-        matrix = instance.relocate_delta_matrix(assignment, free)
-        assert matrix.shape == (instance.n_logical, len(free))
-        for i in range(instance.n_logical):
-            for idx, loc in enumerate(free):
-                reference = instance.relocate_delta_reference(
-                    assignment, i, int(loc))
-                assert matrix[i, idx] == reference    # bit-for-bit
-
-
 class TestIncrementalUpdates:
     @given(st.integers(0, 10**6))
     @settings(max_examples=40, deadline=None)
@@ -108,26 +107,6 @@ class TestIncrementalUpdates:
             i, j = (int(q) for q in rng.choice(n, size=2, replace=False))
             assignment[i], assignment[j] = assignment[j], assignment[i]
             instance.update_deltas_after_swap(table, assignment, i, j)
-            assert np.array_equal(table,
-                                  instance.swap_delta_matrix(assignment))
-
-    @given(st.integers(0, 10**6))
-    @settings(max_examples=40, deadline=None)
-    def test_relocate_update_walk_matches_fresh_matrix(self, seed):
-        instance, assignment, free = random_instance(seed)
-        if len(free) == 0:
-            return                         # square instance: no relocations
-        n = instance.n_logical
-        rng = np.random.default_rng(seed + 3)
-        free = list(free)
-        table = instance.swap_delta_matrix(assignment)
-        for _ in range(6):
-            i = int(rng.integers(n))
-            loc_idx = int(rng.integers(len(free)))
-            old = int(assignment[i])
-            assignment[i] = free[loc_idx]
-            free[loc_idx] = old
-            instance.update_deltas_after_relocate(table, assignment, i, old)
             assert np.array_equal(table,
                                   instance.swap_delta_matrix(assignment))
 
@@ -146,6 +125,113 @@ class TestIncrementalUpdates:
             assignment[i], assignment[j] = assignment[j], assignment[i]
             instance.update_deltas_after_swap(table, assignment, i, j)
             assert cost == instance.cost(assignment)  # exact, integers
+
+
+def full_deltas(instance, assignment, free):
+    """Single-trial deltas off the gain kernel, at full scale."""
+    gain = gain_matrix(instance, assignment[None])
+    swaps, relocations = half_deltas(instance, gain, assignment[None],
+                                     free[None])
+    return 2.0 * swaps[0], 2.0 * relocations[0]
+
+
+def assert_matches_references(instance, assignment, free):
+    swaps, relocations = full_deltas(instance, assignment, free)
+    n = instance.n_logical
+    assert relocations.shape == (n, len(free))
+    for i in range(n):
+        assert swaps[i, i] == 0.0
+        for j in range(n):
+            if i != j:
+                assert swaps[i, j] == instance.swap_delta_reference(
+                    assignment, i, j)                     # bit-for-bit
+        for idx, loc in enumerate(free):
+            assert relocations[i, idx] == instance.relocate_delta_reference(
+                assignment, i, int(loc))
+
+
+class TestGainKernel:
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=60, deadline=None)
+    def test_deltas_match_scalar_references(self, seed):
+        instance, assignment, free = random_instance(seed)
+        assert_matches_references(instance, assignment, free)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_mixed_move_walk_never_drifts(self, seed):
+        """A gain matrix carried through swaps and relocations by rank-1
+        updates equals a fresh one and keeps scoring every move exactly;
+        the accumulated deltas reproduce the recomputed cost."""
+        instance, assignment, free = random_instance(seed)
+        flow = instance.flow
+        n = instance.n_logical
+        rng = np.random.default_rng(seed + 5)
+        gain = gain_matrix(instance, assignment[None])
+        cost = instance.cost(assignment)
+        for _ in range(8):
+            swaps, relocations = half_deltas(instance, gain,
+                                             assignment[None], free[None])
+            i = int(rng.integers(n))
+            old = int(assignment[i])
+            if len(free) and rng.random() < 0.5:
+                idx = int(rng.integers(len(free)))
+                new, weight = int(free[idx]), flow[i]
+                cost += 2.0 * relocations[0, i, idx]
+                free[idx] = old
+                free.sort()
+            else:
+                j = int(rng.choice([q for q in range(n) if q != i]))
+                new, weight = int(assignment[j]), flow[i] - flow[j]
+                cost += 2.0 * swaps[0, i, j]
+                assignment[j] = old
+            assignment[i] = new
+            update_gain(instance, gain, np.array([0]), weight[None],
+                        np.array([old]), np.array([new]))
+            assert np.array_equal(gain, gain_matrix(instance,
+                                                    assignment[None]))
+            assert cost == instance.cost(assignment)     # exact, integers
+        assert_matches_references(instance, assignment, free)
+
+    @given(st.integers(0, 10**6))
+    @settings(max_examples=20, deadline=None)
+    def test_stacked_trials_score_independently(self, seed):
+        """Each slice of a stacked kernel equals its single-trial run."""
+        instance, _, _ = random_instance(seed)
+        n, m = instance.n_logical, instance.n_physical
+        rng = np.random.default_rng(seed + 6)
+        stack = np.array([rng.permutation(m)[:n] for _ in range(3)])
+        free = np.array([np.setdiff1d(np.arange(m), row) for row in stack],
+                        dtype=int).reshape(3, m - n)
+        swaps, relocations = half_deltas(
+            instance, gain_matrix(instance, stack), stack, free)
+        for t in range(3):
+            alone = full_deltas(instance, stack[t], free[t])
+            assert np.array_equal(2.0 * swaps[t], alone[0])
+            assert np.array_equal(2.0 * relocations[t], alone[1])
+
+
+class TestLockstepTrials:
+    @given(st.integers(0, 10**6))
+    @example(6).via("two trials stop early, two run to the cap")
+    @example(391).via("spare qubit; stops at 7, 6, 104 and 28")
+    @example(1995).via("spare qubits; stops at 29, 10, 94, cap 101")
+    @settings(max_examples=40, deadline=None)
+    def test_lockstep_equals_one_trial_calls(self, seed):
+        """Trials that stop early (tiny tenure, small instances) leave
+        their siblings' trajectories untouched."""
+        instance, _, _ = random_instance(seed)
+        rng = np.random.default_rng(seed + 7)
+        kwargs = {"max_iterations": int(rng.integers(1, 120)),
+                  "tenure": int(rng.integers(1, 8))}
+        seeds = [seed + 1000 * t for t in range(4)]
+        lockstep = tabu_trials(instance, seeds, **kwargs)
+        for s, result in zip(seeds, lockstep):
+            alone = tabu_search(instance, seed=s, **kwargs)
+            assert np.array_equal(result.assignment, alone.assignment)
+            assert (result.cost, result.iterations) == \
+                (alone.cost, alone.iterations)
+            assert result.cost == instance.cost(result.assignment)
 
 
 class TestGraspLocalSearchEquivalence:

@@ -27,6 +27,32 @@ class TestInstance:
         with pytest.raises(ValueError):
             QAPInstance(flow, np.zeros((2, 2)))
 
+    def test_validation_flow_diagonal(self):
+        flow = np.array([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="flow.*diagonal"):
+            QAPInstance(flow, line(2).distance)
+
+    def test_validation_distance_diagonal(self):
+        distance = np.array([[0.0, 1.0], [1.0, 2.0]])
+        with pytest.raises(ValueError, match="distance.*diagonal"):
+            QAPInstance(np.zeros((2, 2)), distance)
+
+    def test_validation_distance_symmetric(self):
+        distance = np.array([[0.0, 1.0, 2.0],
+                             [1.0, 0.0, 1.0],
+                             [3.0, 1.0, 0.0]])
+        with pytest.raises(ValueError, match="distance.*symmetric"):
+            QAPInstance(np.zeros((2, 2)), distance)
+
+    @pytest.mark.parametrize("device", [line(5), grid(2, 3), montreal()],
+                             ids=lambda device: device.name)
+    def test_built_instances_meet_preconditions(self, device):
+        step = trotter_step(nnn_heisenberg(5, seed=0))
+        inst = qap_from_problem(step, device)
+        assert not np.diagonal(inst.flow).any()
+        assert not np.diagonal(inst.distance).any()
+        assert np.array_equal(inst.distance, inst.distance.T)
+
     def test_too_many_logical(self):
         with pytest.raises(ValueError):
             QAPInstance(np.zeros((4, 4)), np.zeros((3, 3)))

@@ -21,7 +21,7 @@ from repro.synthesis.gateset import get_gateset
 
 
 def test_case_table_covers_every_kernel():
-    assert [case.name for case in CASES] == ["mapping", "routing",
+    assert [case.name for case in CASES] == ["mapping", "tabu", "routing",
                                              "synthesis", "bind"]
 
 
