@@ -3,19 +3,26 @@
 Runs *after* all permutation-aware passes, so the same routed/scheduled
 circuit retargets to any hardware basis.  Each application-level two-qubit
 block (term exponential, unified gate, SWAP, dressed SWAP) becomes basis
-two-qubit gates plus single-qubit gates; adjacent single-qubit gates are
-fused afterwards.
+two-qubit gates plus single-qubit gates, and adjacent single-qubit gates
+fuse in the same walk that emits them.
 
 Lowering is **two-phase**: a first walk over the circuit resolves every
 two-qubit gate against the template and matrix memos and collects the
 unique uncached matrices (SWAP / dressed-SWAP repeats dominate real
 workloads, so dedupe-before-synthesis shrinks the work sharply); the
 misses are synthesized in one call to the batched KAK engine
-(:meth:`~repro.synthesis.gateset.GateSet.decompose_batch`); a second walk
-emits the lowered circuit from the resolved blocks.  Outputs are
-bit-identical to the retained scalar walk
-(:func:`decompose_circuit_reference`) -- the batch engine guarantees
-per-matrix byte equality and falls back per matrix where it cannot.
+(:meth:`~repro.synthesis.gateset.GateSet.decompose_batch`).  A second
+walk then emits the output in one pass: every single-qubit matrix (the
+circuit's own and those inside each block) goes straight into its
+qubit's pending run of a :class:`~repro.quantum.transforms.SingleQubitRuns`,
+and only the mapped basis two-qubit gates and the fused ``U1Q`` gates
+become :class:`Gate` objects -- no unfused intermediate circuit is
+built.  Outputs are bit-identical to the retained scalar walk
+(:func:`decompose_circuit_reference`, which lowers first and fuses
+afterwards): the batch engine guarantees per-matrix byte equality and
+falls back per matrix where it cannot, and the run helper is the one
+:func:`~repro.quantum.transforms.merge_single_qubit_gates` uses, fed
+the same matrices in the same order.
 """
 
 from __future__ import annotations
@@ -26,7 +33,10 @@ import numpy as np
 
 from repro.quantum.circuit import Circuit
 from repro.quantum.gates import Gate
-from repro.quantum.transforms import merge_single_qubit_gates
+from repro.quantum.transforms import (
+    SingleQubitRuns,
+    merge_single_qubit_gates,
+)
 from repro.synthesis.gateset import GateSet
 
 # Decomposition results for repeated unitaries (bare SWAPs especially)
@@ -141,7 +151,7 @@ def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
     # ------------------------------------------------------------------
     # Phase 1: resolve every gate, dedupe and collect uncached matrices.
     # ------------------------------------------------------------------
-    # plan entries: ("1q", Gate) | ("value", block_value, gate)
+    # plan entries: ("1q", qubit, matrix) | ("value", block_value, gate)
     #             | ("key", matrix_key, gate)
     plan: list[tuple] = []
     resolved: dict[bytes, tuple[Circuit, complex] | None] = {}
@@ -153,8 +163,7 @@ def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
 
     for gate in circuit:
         if gate.n_qubits == 1:
-            plan.append(("1q", Gate("U1Q", gate.qubits,
-                                    matrix=gate.unitary())))
+            plan.append(("1q", gate.qubits[0], gate.unitary()))
             continue
         if gate.n_qubits != 2:
             raise ValueError(f"cannot decompose {gate.n_qubits}-qubit gate")
@@ -203,7 +212,8 @@ def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
         plan.append(("key", mkey, gate))
 
     # ------------------------------------------------------------------
-    # Phase 2: one batched synthesis call for all misses, then emit.
+    # Phase 2: one batched synthesis call for all misses, then emit and
+    # fuse in one walk.
     # ------------------------------------------------------------------
     if pending:
         blocks = gateset.decompose_batch([m for _, m in pending],
@@ -214,19 +224,24 @@ def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
     for tkey, mkey in template_inserts:
         templates.insert(tkey, resolved[mkey])
 
-    lowered = Circuit(circuit.n_qubits)
-    for entry in plan:
-        if entry[0] == "1q":
-            lowered.append(entry[1])
+    runs = SingleQubitRuns()
+    add, barrier = runs.add, runs.barrier
+    for kind, ref, payload in plan:
+        if kind == "1q":
+            add(ref, payload)
             continue
-        _, ref, gate = entry
-        block, _ = ref if entry[0] == "value" else resolved[ref]
-        a, b = gate.qubits
+        block, _ = ref if kind == "value" else resolved[ref]
+        a, b = payload.qubits
         for small in block:
-            mapped = tuple(a if q == 0 else b for q in small.qubits)
-            lowered.append(Gate(small.name, mapped, small.params,
-                                small.matrix, meta=dict(small.meta)))
-    return merge_single_qubit_gates(lowered)
+            qubits = small.qubits
+            if len(qubits) == 1:
+                add(a if qubits[0] == 0 else b, small.unitary())
+            else:
+                barrier(Gate(small.name,
+                             tuple(a if q == 0 else b for q in qubits),
+                             small.params, small.matrix,
+                             meta=dict(small.meta)))
+    return runs.fuse(circuit.n_qubits)
 
 
 def decompose_circuit_reference(circuit: Circuit, gateset: GateSet, *,

@@ -26,10 +26,12 @@ class CircuitMetrics:
     @classmethod
     def from_circuit(cls, circuit: Circuit, n_swaps: int = 0,
                      n_dressed: int = 0) -> "CircuitMetrics":
+        n_two_qubit_gates, total_depth, two_qubit_depth = \
+            circuit._layer_metrics()
         return cls(
-            n_two_qubit_gates=circuit.n_two_qubit_gates,
-            two_qubit_depth=circuit.two_qubit_depth(),
-            total_depth=circuit.depth(),
+            n_two_qubit_gates=n_two_qubit_gates,
+            two_qubit_depth=two_qubit_depth,
+            total_depth=total_depth,
             n_swaps=n_swaps,
             n_dressed=n_dressed,
         )

@@ -25,6 +25,11 @@ import numpy as np
 
 from repro.analysis.harness import build_symbolic_step
 from repro.core.bind import compile_structural
+from repro.core.decompose import (
+    DecomposeCache,
+    decompose_circuit,
+    decompose_circuit_reference,
+)
 from repro.core.registry import get_compiler
 from repro.core.routing import route
 from repro.core.unify import unify_circuit_operators
@@ -36,6 +41,7 @@ from repro.mapping.tabu import tabu_search, tabu_trials
 from repro.quantum.gates import standard_gate_unitary
 from repro.quantum.unitaries import random_unitary
 from repro.synthesis.gateset import get_gateset
+from repro.synthesis.templates import TemplateCache
 from repro.synthesis.weyl import canonical_gate
 
 
@@ -211,6 +217,32 @@ def _cold_compiles(inputs) -> list:
             for binding in angles]
 
 
+def _lowering_inputs():
+    """The bind case's 20 angle sets bound into one n=20 QAOA/sycamore
+    structure, as the application circuits the SYC lowering sees."""
+    symbolic, angles = _bind_inputs()
+    compiler = get_compiler("2qan", device=sycamore(), gateset="SYC", seed=0)
+    structural = compile_structural(compiler, symbolic)
+    return compiler.gateset, [structural.bind(binding).app_circuit
+                              for binding in angles]
+
+
+def _lower(decompose):
+    """Lower every circuit through fresh memos, as one round of binds
+    on a fresh server would."""
+    def lower(inputs) -> list:
+        gateset, circuits = inputs
+        cache, templates = DecomposeCache(), TemplateCache()
+        return [decompose(circuit, gateset, cache=cache, templates=templates)
+                for circuit in circuits]
+    return lower
+
+
+def _all_identical(fast, reference) -> bool:
+    return len(fast) == len(reference) and all(
+        circuits_identical(a, b) for a, b in zip(fast, reference))
+
+
 def _bound_identical(warm, cold) -> bool:
     return len(warm) == len(cold) and all(
         circuits_identical(w.circuit, c.circuit) and w.metrics == c.metrics
@@ -247,6 +279,13 @@ CASES: tuple[Case, ...] = (
          reference=lambda inputs: [inputs[0].decompose(m) for m in inputs[1]],
          identical=blocks_identical,
          floor=3.0),
+    Case("lowering", "n=20 QAOA/sycamore, 20 bound angle sets to SYC, "
+                     "one-walk lowering vs lower-then-fuse reference",
+         build=_lowering_inputs,
+         fast=_lower(decompose_circuit),
+         reference=_lower(decompose_circuit_reference),
+         identical=_all_identical,
+         floor=1.0),
     # the set-up floor is the serving claim (the structural compile is
     # paid inside the batch); the plain floor is the per-bind claim
     Case("bind", "n=20 QAOA/sycamore, 20 angle sets, structural compile "

@@ -114,27 +114,40 @@ class Circuit:
         gates are not counted; this matches the paper's "depth of two-qubit
         gates" metric.
         """
-        frontier = [0] * self.n_qubits
-        layer_has_2q: dict[int, bool] = {}
-        for gate in self.gates:
-            if not gate.qubits:
-                continue
-            start = max(frontier[q] for q in gate.qubits)
-            for q in gate.qubits:
-                frontier[q] = start + 1
-            if gate.n_qubits >= 2:
-                layer_has_2q[start] = True
-            else:
-                layer_has_2q.setdefault(start, False)
-        if not layer_has_2q:
-            return 0
-        if two_qubit_only:
-            return sum(1 for has in layer_has_2q.values() if has)
-        return max(layer_has_2q) + 1
+        _, depth, two_qubit_depth = self._layer_metrics()
+        return two_qubit_depth if two_qubit_only else depth
 
     def two_qubit_depth(self) -> int:
         """Depth counting only layers that contain a two-qubit gate."""
-        return self.depth(two_qubit_only=True)
+        return self._layer_metrics()[2]
+
+    def _layer_metrics(self) -> tuple[int, int, int]:
+        """``(two-qubit gate count, depth, two-qubit depth)`` in one walk.
+
+        Gates pack as-soon-as-possible; a gate on no qubits occupies no
+        layer.
+        """
+        frontier = [0] * self.n_qubits
+        two_qubit_layers: set[int] = set()
+        n_two_qubit = 0
+        depth = 0
+        for gate in self.gates:
+            qubits = gate.qubits
+            if len(qubits) == 1:
+                q = qubits[0]
+                start = frontier[q]
+                frontier[q] = start + 1
+            elif qubits:
+                start = max(frontier[q] for q in qubits)
+                for q in qubits:
+                    frontier[q] = start + 1
+                two_qubit_layers.add(start)
+                n_two_qubit += 1
+            else:
+                continue
+            if start >= depth:
+                depth = start + 1
+        return n_two_qubit, depth, len(two_qubit_layers)
 
     def layers(self) -> list[list[Gate]]:
         """Greedy ASAP layering of the gate list."""

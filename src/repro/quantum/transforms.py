@@ -6,13 +6,20 @@ This keeps the gate-count and depth metrics honest: a decomposed circuit
 is charged one single-qubit "slot" between entangling gates, exactly as
 the paper's tooling (Qiskit/t|ket> 1q-optimisation) would produce.
 
-The fusion fold is vectorized: one walk collects the per-qubit runs of
-adjacent single-qubit gates (multi-qubit gates are barriers), then all
-runs fold together as stacked 2x2 matmuls -- round ``j`` multiplies the
-``j``-th gate of every still-active run onto its accumulator in one
-gufunc call.  Per slice the stacked matmul reproduces the scalar
-``matrix @ accumulated`` byte for byte, so the result is bit-identical
-to the retained scalar walk (:func:`merge_single_qubit_gates_reference`).
+Fusion lives in one helper, :class:`SingleQubitRuns`.  Its caller feeds
+it a circuit's gates in order -- single-qubit *matrices* join their
+qubit's pending run, multi-qubit gates are barriers -- so a producer
+that already holds the matrices (the final lowering walk in
+:mod:`repro.core.decompose`) fuses while it emits, without first
+building the unfused circuit.  :func:`merge_single_qubit_gates` is the
+same helper fed from an existing circuit.
+
+The fold is vectorized: all runs fold together as stacked 2x2 matmuls
+-- round ``j`` multiplies the ``j``-th gate of every still-active run
+onto its accumulator in one gufunc call.  Per slice the stacked matmul
+reproduces the scalar ``matrix @ accumulated`` byte for byte, so the
+result is bit-identical to the retained scalar walk
+(:func:`merge_single_qubit_gates_reference`).
 """
 
 from __future__ import annotations
@@ -31,48 +38,17 @@ def _is_phase(matrix: np.ndarray, atol: float = 1e-9) -> bool:
     )
 
 
-def merge_single_qubit_gates(circuit: Circuit, atol: float = 1e-9) -> Circuit:
-    """Fuse adjacent single-qubit gates; drop the ones that are a phase.
+def _fold_runs(runs: list[list[np.ndarray]]) -> list[np.ndarray]:
+    """Product of every run, last matrix leftmost.
 
-    Multi-qubit gates act as barriers on their qubits.  The result has at
-    most one single-qubit gate per qubit between consecutive entangling
-    gates, named ``U1Q`` with an explicit matrix.
+    Round ``j`` left-multiplies matrix ``j`` of each run still active
+    onto its accumulator -- the same ``matrix @ accumulated`` op order
+    the scalar walk applies, one slice per run.  A single-matrix run
+    folds to that matrix object itself.
     """
-    # Pass 1: collect runs and the emission order.  ``pending`` mirrors
-    # the scalar walk's dict operations exactly (get / setitem / pop), so
-    # the end-of-circuit flush order is identical.
-    runs: list[tuple[int, list[np.ndarray]]] = []   # (qubit, matrices)
-    events: list[tuple] = []                        # ("run", id) | ("gate", g)
-    pending: dict[int, int] = {}
-
-    def flush(qubit: int) -> None:
-        run_id = pending.pop(qubit, None)
-        if run_id is not None:
-            events.append(("run", run_id))
-
-    for gate in circuit:
-        if gate.n_qubits == 1:
-            q = gate.qubits[0]
-            run_id = pending.get(q)
-            if run_id is None:
-                pending[q] = len(runs)
-                runs.append((q, [gate.unitary()]))
-            else:
-                runs[run_id][1].append(gate.unitary())
-        else:
-            for q in gate.qubits:
-                flush(q)
-            events.append(("gate", gate))
-    for q in list(pending):
-        flush(q)
-
-    # Pass 2: fold every multi-gate run with stacked matmuls.  Round j
-    # left-multiplies gate j of each run still active onto its
-    # accumulator -- the same ``matrix @ accumulated`` op order the
-    # scalar walk applies, one slice per run.
-    folded: list[np.ndarray] = [mats[0] for _, mats in runs]
+    folded = [mats[0] for mats in runs]
     long_ids = []
-    for i, (_, mats) in enumerate(runs):
+    for i, mats in enumerate(runs):
         if len(mats) == 1:
             continue
         if all(m.dtype == np.complex128 for m in mats):
@@ -85,27 +61,81 @@ def merge_single_qubit_gates(circuit: Circuit, atol: float = 1e-9) -> Circuit:
                 result = matrix @ result
             folded[i] = result
     if long_ids:
-        acc = np.stack([runs[i][1][0] for i in long_ids])
-        max_len = max(len(runs[i][1]) for i in long_ids)
+        acc = np.stack([runs[i][0] for i in long_ids])
+        max_len = max(len(runs[i]) for i in long_ids)
         for j in range(1, max_len):
-            active = [s for s, i in enumerate(long_ids)
-                      if len(runs[i][1]) > j]
-            mats = np.stack([runs[long_ids[s]][1][j] for s in active])
+            active = [s for s, i in enumerate(long_ids) if len(runs[i]) > j]
+            mats = np.stack([runs[long_ids[s]][j] for s in active])
             acc[active] = np.matmul(mats, acc[active])
         for s, i in enumerate(long_ids):
             folded[i] = acc[s]
+    return folded
 
-    merged = Circuit(circuit.n_qubits)
-    for kind, payload in events:
-        if kind == "gate":
-            merged.append(payload)
-            continue
-        qubit, _ = runs[payload]
-        matrix = folded[payload]
-        if _is_phase(matrix, atol):
-            continue
-        merged.append(Gate("U1Q", (qubit,), matrix=matrix))
-    return merged
+
+class SingleQubitRuns:
+    """Fuse single-qubit runs while a circuit is being walked.
+
+    Feed gates in circuit order: :meth:`add` appends a single-qubit
+    matrix to its qubit's pending run, :meth:`barrier` closes the runs
+    on a multi-qubit gate's qubits (in ``gate.qubits`` order) and queues
+    the gate behind them.  :meth:`fuse` closes the runs still open, in
+    the order they were opened, folds every run at once and returns the
+    circuit: one ``U1Q`` per run (dropped when it is a phase) in the
+    order the runs closed, barrier gates as given.
+    """
+
+    def __init__(self) -> None:
+        self._qubits: list[int] = []                # run id -> qubit
+        self._matrices: list[list[np.ndarray]] = []  # run id -> matrices
+        self._events: list[int | Gate] = []         # closed run id | gate
+        self._open: dict[int, int] = {}             # qubit -> open run id
+
+    def add(self, qubit: int, matrix: np.ndarray) -> None:
+        run_id = self._open.get(qubit)
+        if run_id is None:
+            self._open[qubit] = len(self._qubits)
+            self._qubits.append(qubit)
+            self._matrices.append([matrix])
+        else:
+            self._matrices[run_id].append(matrix)
+
+    def barrier(self, gate: Gate) -> None:
+        for q in gate.qubits:
+            run_id = self._open.pop(q, None)
+            if run_id is not None:
+                self._events.append(run_id)
+        self._events.append(gate)
+
+    def fuse(self, n_qubits: int, atol: float = 1e-9) -> Circuit:
+        self._events.extend(self._open.values())
+        self._open.clear()
+        folded = _fold_runs(self._matrices)
+        gates = []
+        for event in self._events:
+            if isinstance(event, Gate):
+                gates.append(event)
+                continue
+            matrix = folded[event]
+            if not _is_phase(matrix, atol):
+                gates.append(Gate("U1Q", (self._qubits[event],),
+                                  matrix=matrix))
+        return Circuit(n_qubits, gates)
+
+
+def merge_single_qubit_gates(circuit: Circuit, atol: float = 1e-9) -> Circuit:
+    """Fuse adjacent single-qubit gates; drop the ones that are a phase.
+
+    Multi-qubit gates act as barriers on their qubits.  The result has at
+    most one single-qubit gate per qubit between consecutive entangling
+    gates, named ``U1Q`` with an explicit matrix.
+    """
+    runs = SingleQubitRuns()
+    for gate in circuit:
+        if gate.n_qubits == 1:
+            runs.add(gate.qubits[0], gate.unitary())
+        else:
+            runs.barrier(gate)
+    return runs.fuse(circuit.n_qubits, atol)
 
 
 def merge_single_qubit_gates_reference(circuit: Circuit,

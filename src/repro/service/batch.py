@@ -195,12 +195,24 @@ def normalize_parameters(parameters) -> tuple[tuple[str, float], ...]:
                 f"parameter {name!r} must be a number, "
                 f"got {type(value).__name__} {value!r}"
             )
-        if not math.isfinite(value):
+        if not is_finite_number(value):
             raise ValueError(
                 f"parameter {name!r} must be finite, got {value!r}"
             )
         pairs.append((name, float(value)))
     return tuple(sorted(pairs))
+
+
+def is_finite_number(value: int | float) -> bool:
+    """Whether a JSON number is a finite float.
+
+    ``json.loads`` yields ``NaN``/``Infinity`` floats and integers too
+    large for a float; neither is a usable angle or time budget.
+    """
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def load_requests(path: str | Path) -> list[CompileRequest]:
@@ -374,7 +386,9 @@ def execute_request(request: CompileRequest,
     step and binds the angles at the end.  With ``structurals`` (a
     mutable mapping the caller keeps across requests) the structural
     prefix is compiled once per :meth:`CompileRequest.structural_key`
-    and reused -- the batch compiler's coalescing path.  Without it the
+    and reused -- the batch compiler's coalescing path; a request whose
+    structure is already there goes straight to the bind, without
+    building its problem or its compiler.  Without ``structurals`` the
     binding still flows through the cache-aware pipeline, so requests
     sharing a structural prefix reuse it through the artifact cache.
     ``request_key`` threads the dedupe key the serving layer already
@@ -389,24 +403,30 @@ def execute_request(request: CompileRequest,
     from repro.core.registry import get_compiler, resolve_spec
     from repro.devices.library import target_device
 
-    spec = resolve_spec(request.compiler)
-    device = target_device(request.device, request.n_qubits,
-                           spec.requires_device)
     binding = request.binding()
-    if binding:
-        step = build_symbolic_step(request.benchmark, request.n_qubits,
-                                   request.seed, request.qaoa_degree)
-    else:
-        step = build_step(request.benchmark, request.n_qubits, request.seed,
-                          request.qaoa_degree)
-    compiler = get_compiler(spec.name, device=device,
-                            gateset=request.gateset, seed=request.seed)
+    coalesce = bool(binding) and structurals is not None
+    structural = None
+    if coalesce:
+        skey = request.structural_key()
+        structural = structurals.get(skey)
+    if structural is None:
+        # a structural hit needs none of this: its key already pins
+        # every field the device, the step and the compiler read
+        spec = resolve_spec(request.compiler)
+        device = target_device(request.device, request.n_qubits,
+                               spec.requires_device)
+        if binding:
+            step = build_symbolic_step(request.benchmark, request.n_qubits,
+                                       request.seed, request.qaoa_degree)
+        else:
+            step = build_step(request.benchmark, request.n_qubits,
+                              request.seed, request.qaoa_degree)
+        compiler = get_compiler(spec.name, device=device,
+                                gateset=request.gateset, seed=request.seed)
     if cancel is not None:
         faults.instrument(cancel)
     start = time.perf_counter()
-    if binding and structurals is not None:
-        skey = request.structural_key()
-        structural = structurals.get(skey)
+    if coalesce:
         if structural is None:
             structural = compile_structural(compiler, step, cancel=cancel)
             structurals[skey] = structural

@@ -76,6 +76,7 @@ from repro.service.batch import (
     compute_request_keys,
     error_response,
     execute_request,
+    is_finite_number,
     request_from_dict,
 )
 from repro.service.journal import JobJournal
@@ -163,9 +164,9 @@ def split_envelope(payload: dict, defaults: Envelope | None = None,
     if timeout_s is not None and (
             isinstance(timeout_s, bool)
             or not isinstance(timeout_s, (int, float))
-            or timeout_s <= 0):
-        raise ValueError(f"field 'timeout_s' must be a positive number, "
-                         f"got {timeout_s!r}")
+            or not is_finite_number(timeout_s) or timeout_s <= 0):
+        raise ValueError(f"field 'timeout_s' must be a positive finite "
+                         f"number, got {timeout_s!r}")
     envelope = Envelope(tenant=tenant, priority=priority,
                         timeout_s=None if timeout_s is None
                         else float(timeout_s))
@@ -715,6 +716,8 @@ async def _read_request(conn: _ConnectionReader,
         length = int(headers.get("content-length", "0"))
     except ValueError:
         raise _BadRequest("bad Content-Length header") from None
+    if length < 0:
+        raise _BadRequest("negative Content-Length header")
     if length > _MAX_BODY_BYTES:
         raise _BadRequest(f"body exceeds {_MAX_BODY_BYTES} bytes")
     body = await conn.readexactly(length) if length else b""

@@ -213,16 +213,30 @@ def _relative_phase(actual: np.ndarray, target: np.ndarray) -> complex:
     return tr / abs(tr)
 
 
-def _structural_circuit(basis_name: str, count: int) -> Circuit:
-    """Placeholder circuit with the right structure for metrics."""
-    circuit = Circuit(2)
-    circuit.append(Gate("U1Q", (0,), matrix=np.eye(2, dtype=complex)))
-    circuit.append(Gate("U1Q", (1,), matrix=np.eye(2, dtype=complex)))
+def _placeholder_block(basis_name: str, count: int) -> Circuit:
+    """Placeholder circuit with the right structure for metrics.
+
+    Read-only: the gate list is a tuple and the one identity matrix the
+    ``U1Q`` slots share is not writeable.
+    """
+    eye = np.eye(2, dtype=complex)
+    eye.setflags(write=False)
+    slots = [Gate("U1Q", (0,), matrix=eye), Gate("U1Q", (1,), matrix=eye)]
+    gates = list(slots)
     for _ in range(count):
-        circuit.append(Gate(basis_name, (0, 1)))
-        circuit.append(Gate("U1Q", (0,), matrix=np.eye(2, dtype=complex)))
-        circuit.append(Gate("U1Q", (1,), matrix=np.eye(2, dtype=complex)))
-    return circuit
+        gates.append(Gate(basis_name, (0, 1)))
+        gates.extend(slots)
+    return Circuit(2, tuple(gates))
+
+
+def _structural_circuit(basis_name: str, count: int) -> Circuit:
+    """The shared placeholder block for ``count`` basis gates.
+
+    Every ``solve=False`` numerical decomposition of the same count
+    returns this one object (the memos keep it, the lowering walk only
+    reads it), so serving many angle sets retains no per-bind copies.
+    """
+    return _PLACEHOLDERS[basis_name, count]
 
 
 def _rewrite_cz_as_cnot(circuit: Circuit) -> Circuit:
@@ -262,6 +276,15 @@ GATESETS: dict[str, GateSet] = {
     "CZ": GateSet("CZ", _CNOT_COORDS),
     "SYC": GateSet("SYC", _SYC_COORDS),
     "ISWAP": GateSet("ISWAP", _ISWAP_COORDS),
+}
+
+
+#: The placeholder blocks of the numerical bases, one per basis-gate
+#: count :func:`~repro.synthesis.numerical.min_basis_gates` can return.
+_PLACEHOLDERS: dict[tuple[str, int], Circuit] = {
+    (name, count): _placeholder_block(name, count)
+    for name in ("SYC", "ISWAP")
+    for count in range(4)
 }
 
 

@@ -333,7 +333,8 @@ class TestParameterisedRequests:
         with pytest.raises(ValueError, match="names"):
             request_from_dict({**self.BASE, "parameters": {"": 1.0}})
 
-    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity",
+                                         "1" + "0" * 400])
     def test_from_dict_rejects_non_finite_parameters(self, literal):
         # json.loads accepts these literals; the request must not
         payload = json.loads(
@@ -401,6 +402,31 @@ class TestParameterisedRequests:
         plain = execute_request(requests[0])
         assert responses[0].n_swaps == plain.n_swaps
         assert responses[0].n_two_qubit_gates == plain.n_two_qubit_gates
+
+    def test_structural_hit_skips_problem_construction(self, monkeypatch):
+        import repro.analysis.harness as harness
+        from repro.core.cancel import CancelToken, CompilationCancelled
+
+        first, second = (
+            request_from_dict({**self.BASE, "parameters": angles})
+            for angles in ({"gamma": 0.35, "beta": -0.39},
+                           {"gamma": 0.7, "beta": 0.2}))
+        structurals: dict = {}
+        execute_request(first, None, structurals)
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("structural hit rebuilt the problem")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(harness, "build_symbolic_step", rebuilt)
+            hit = execute_request(second, None, structurals)
+            token = CancelToken()
+            token.cancel()
+            with pytest.raises(CompilationCancelled):
+                execute_request(second, None, structurals, cancel=token)
+        assert len(structurals) == 1
+        fresh = execute_request(second)
+        assert hit.to_dict() == fresh.to_dict()
 
     def test_batch_run_serves_mixed_batches(self):
         requests = [

@@ -65,6 +65,14 @@ class TestEnvelope:
         with pytest.raises(ValueError, match="timeout_s"):
             split_envelope({"timeout_s": timeout_s})
 
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e400",
+                                         "1" + "0" * 400])
+    def test_non_finite_timeout_rejected(self, literal):
+        # json.loads accepts these; none is a usable time budget
+        payload = json.loads(f'{{"timeout_s": {literal}}}')
+        with pytest.raises(ValueError, match="timeout_s"):
+            split_envelope(payload)
+
 
 class TestRoutes:
     def test_round_trip_matches_local_execution(self):
@@ -321,6 +329,30 @@ class TestHttpFrontEnd:
         data = b"".join(chunks)
         assert b"200 OK" in data
         assert b"Connection: keep-alive" in data
+
+    def test_negative_content_length_is_400(self):
+        import socket
+
+        with serving() as handle:
+            sock = socket.create_connection(("127.0.0.1", handle.port),
+                                            timeout=10)
+            sock.settimeout(10.0)
+            # a negative length must not split the body: its last five
+            # bytes would otherwise start the next request
+            sock.sendall(b"POST /compile HTTP/1.1\r\nHost: x\r\n"
+                         b"Content-Length: -5\r\n\r\n"
+                         + json.dumps(BASE).encode())
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            sock.close()
+        data = b"".join(chunks)
+        assert data.startswith(b"HTTP/1.1 400")
+        assert b"Content-Length header" in data
+        assert data.count(b"HTTP/1.1") == 1
 
     def test_metrics_prometheus_exposition(self):
         with serving() as handle:

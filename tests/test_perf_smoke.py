@@ -22,7 +22,7 @@ from repro.synthesis.gateset import get_gateset
 
 def test_case_table_covers_every_kernel():
     assert [case.name for case in CASES] == ["mapping", "tabu", "routing",
-                                             "synthesis", "bind"]
+                                             "synthesis", "lowering", "bind"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
