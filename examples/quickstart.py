@@ -114,9 +114,9 @@ def main() -> None:
           f"{again.artifact_misses} misses")
 
     # When a custom pass graduates into the tree, declare its context
-    # reads/writes (see the built-in passes) and run ``python -m repro
-    # lint``: five static checkers verify the declarations against the
-    # run() body, fingerprint coverage, the metrics schema, compile-path
+    # reads/writes (see the built-in passes): a cached run rejects any
+    # access outside them on every miss.  ``python -m repro lint`` then
+    # checks fingerprint coverage, the metrics schema, compile-path
     # determinism and async hygiene -- the contracts the cache and the
     # golden tests rely on.
 

@@ -16,7 +16,7 @@ Examples::
     python -m repro batch --requests requests.json --jobs 4 \
         --cache results/cache --json
     python -m repro serve --port 8000 --jobs 2 --cache results/cache
-    python -m repro lint --json --select RPR001,RPR004
+    python -m repro lint --json --select RPR002,RPR004
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ def make_parser() -> argparse.ArgumentParser:
                       help="emit findings as JSON (stable schema)")
     lint.add_argument("--select", default=None, metavar="ID[,ID...]",
                       help="run only these check ids (e.g. "
-                           "RPR001,RPR004)")
+                           "RPR002,RPR004)")
     lint.add_argument("--ignore", default=None, metavar="ID[,ID...]",
                       help="skip these check ids")
     lint.add_argument("--diff-base", default=None, metavar="REF",

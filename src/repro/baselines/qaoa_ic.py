@@ -170,8 +170,7 @@ class InstructionGainRoutePass:
 
     # seed was declared here through PR 9 but run() never consumes it:
     # the greedy gain rule is deterministic given the placement, so the
-    # over-scoped key fragmented the cache across seeds for nothing
-    # (caught by repro lint RPR001).
+    # over-scoped key fragmented the cache across seeds for nothing.
     reads: ClassVar[tuple[str, ...]] = ("working", "device", "assignment")
     writes: ClassVar[tuple[str, ...]] = ("app_circuit", "n_swaps",
                                          "initial_map", "final_map")

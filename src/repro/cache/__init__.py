@@ -26,7 +26,6 @@ from repro.cache.cached import (
     CachedPipeline,
     UndeclaredContextReadError,
     compile_cached,
-    strict_reads_enabled,
 )
 from repro.cache.fingerprint import (
     fingerprint,
@@ -46,7 +45,6 @@ __all__ = [
     "MemoryArtifactStore",
     "UndeclaredContextReadError",
     "compile_cached",
-    "strict_reads_enabled",
     "fingerprint",
     "fingerprint_circuit",
     "fingerprint_device",

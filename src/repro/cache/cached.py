@@ -29,16 +29,21 @@ they give up is two different derivations that happen to produce
 byte-equal artifacts.  :func:`context_key` computes the pure content
 key.
 
-On a miss the pass runs and the fields it ``writes`` (same convention;
-default: every artifact field) are snapshotted into the store; writing
-a field outside the declaration raises on the spot.  On a hit the
-snapshot is applied and the pass body never executes.  Either way
-``ctx.timings`` gets its usual per-pass entry (the lookup time, on a
-hit) and ``ctx.cache_events`` records ``"hit"`` or ``"miss"`` per pass.
+On a miss the pass runs on a scoped view of the context
+(:class:`_ScopedContext`) that enforces both declarations at the
+access: loading a field outside ``reads`` raises
+:class:`UndeclaredContextReadError` (a field the pass only writes may
+be loaded once the pass has assigned it), and assigning a field outside
+``writes`` (default: every artifact field) raises ``ValueError``.  The
+fields in ``writes`` are then snapshotted into the store.  On a hit the
+snapshot is applied and the pass body never executes, so no view is
+built.  Either way ``ctx.timings`` gets its usual per-pass entry (the
+lookup time, on a hit) and ``ctx.cache_events`` records ``"hit"`` or
+``"miss"`` per pass.
 
 Contract: passes write artifacts by *assignment* (``ctx.working = ...``)
-and never mutate an upstream artifact in place -- the write guard
-compares object identity, so an in-place mutation of e.g. a predecessor's
+and never mutate an upstream artifact in place -- the view sees
+attribute stores, so an in-place mutation of e.g. a predecessor's
 circuit would evade it and make warm runs diverge from cold ones.
 Every built-in pass follows this; custom passes must too to be cached.
 
@@ -48,8 +53,6 @@ pin that property for every registry compiler.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.cache.fingerprint import fingerprint, fingerprint_pass
 from repro.cache.store import ArtifactCache
@@ -70,20 +73,14 @@ ARTIFACT_FIELDS = (
     "initial_map", "final_map",
 )
 
-#: Infrastructure fields any pass may touch without declaring them:
-#: ``timings``/``cache_events`` are pipeline bookkeeping, ``cancel`` is
-#: cooperative cancellation (excluded from cache keys by design), and
-#: ``cache`` is the content-addressed decompose memo, which accelerates
-#: but never changes an output.  The static checker (``repro lint``
-#: RPR001) exempts exactly this set.
+#: Infrastructure fields any pass may load and store without declaring
+#: them: ``timings``/``cache_events`` are pipeline bookkeeping,
+#: ``cancel`` is cooperative cancellation (excluded from cache keys by
+#: design), and ``cache`` is the content-addressed decompose memo, which
+#: accelerates but never changes an output.
 INFRA_FIELDS = frozenset({"timings", "cache_events", "cancel", "cache"})
 
 _CONTEXT_FIELDS = frozenset(INPUT_FIELDS + ARTIFACT_FIELDS)
-
-#: Environment variable enabling the strict read guard (see
-#: :class:`UndeclaredContextReadError`).  The test suite runs with it
-#: set so every compile in CI audits the declarations dynamically.
-STRICT_ENV_VAR = "REPRO_CACHE_STRICT"
 
 
 class UndeclaredContextReadError(RuntimeError):
@@ -100,31 +97,30 @@ class UndeclaredContextReadError(RuntimeError):
     """
 
 
-def strict_reads_enabled() -> bool:
-    """Whether ``REPRO_CACHE_STRICT`` requests the dynamic read guard."""
-    return os.environ.get(STRICT_ENV_VAR, "") not in ("", "0")
+class _ScopedContext:
+    """The context as one pass sees it on a :class:`CachedPass` miss.
 
-
-class _StrictContext:
-    """A read-auditing view of a :class:`CompilationContext`.
-
-    Attribute loads of undeclared compilation fields raise
-    :class:`UndeclaredContextReadError`; everything else (writes,
-    infrastructure fields, methods) forwards to the wrapped context.
-    Passes return the view from ``run``; :class:`CachedPass` unwraps it
-    before snapshotting.
+    Loads of compilation fields outside ``reads`` raise
+    :class:`UndeclaredContextReadError`, except a field the pass has
+    already assigned in this run; stores outside ``writes`` raise
+    ``ValueError`` before the context changes.  Loads of anything else
+    (infrastructure fields, methods, private attributes) forward to the
+    wrapped context.
     """
 
-    __slots__ = ("_ctx", "_allowed", "_pass_name")
+    __slots__ = ("_ctx", "_reads", "_writes", "_assigned", "_pass_name")
 
-    def __init__(self, ctx: CompilationContext, allowed: frozenset[str],
-                 pass_name: str) -> None:
+    def __init__(self, ctx: CompilationContext, reads: tuple[str, ...],
+                 writes: tuple[str, ...], pass_name: str) -> None:
         object.__setattr__(self, "_ctx", ctx)
-        object.__setattr__(self, "_allowed", allowed)
+        object.__setattr__(self, "_reads", INFRA_FIELDS.union(reads))
+        object.__setattr__(self, "_writes", INFRA_FIELDS.union(writes))
+        object.__setattr__(self, "_assigned", set())
         object.__setattr__(self, "_pass_name", pass_name)
 
     def _audit(self, name: str) -> None:
-        if name in _CONTEXT_FIELDS and name not in self._allowed:
+        if (name in _CONTEXT_FIELDS and name not in self._reads
+                and name not in self._assigned):
             raise UndeclaredContextReadError(
                 f"pass {self._pass_name!r} read context field {name!r} "
                 f"outside its declared reads; the cache key omits it, "
@@ -141,11 +137,15 @@ class _StrictContext:
         return getattr(self._ctx, name)
 
     def __setattr__(self, name: str, value) -> None:
+        if name not in self._writes:
+            writes = sorted(self._writes - INFRA_FIELDS)
+            raise ValueError(
+                f"pass {self._pass_name!r} wrote context field {name!r} "
+                f"not declared in its writes={writes}; fix the "
+                f"declaration or caching will serve partial snapshots"
+            )
+        self._assigned.add(name)
         setattr(self._ctx, name, value)
-
-
-def _unwrap(ctx):
-    return ctx._ctx if isinstance(ctx, _StrictContext) else ctx
 
 
 def count_cache_hits(events: dict[str, str]) -> int:
@@ -175,12 +175,19 @@ def _record_derived(ctx, key: str, snapshot: dict) -> None:
         field_ids[name] = (value, fingerprint("derived", key, name))
 
 
+def _declarations(stage) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """``stage``'s ``(reads, writes)``; a pass without a declaration
+    reads every field and writes every artifact."""
+    reads = getattr(stage, "reads", None)
+    writes = getattr(stage, "writes", None)
+    return (INPUT_FIELDS + ARTIFACT_FIELDS if reads is None else reads,
+            ARTIFACT_FIELDS if writes is None else writes)
+
+
 def _key(stage, ctx, field_ids: dict) -> str:
     """The key of running ``stage`` on ``ctx``, reusing (and filling)
     ``field_ids`` for every field still bound to its recorded object."""
-    reads = getattr(stage, "reads", None)
-    if reads is None:
-        reads = INPUT_FIELDS + ARTIFACT_FIELDS
+    reads, _ = _declarations(stage)
     parts: list[object] = [fingerprint_pass(stage)]
     for name in reads:
         value = getattr(ctx, name)
@@ -225,41 +232,13 @@ class CachedPass:
             ctx.cache_events[self.name] = "hit"
             self.cache.record_event(self.name, hit=True)
             return ctx
-        writes = getattr(self.inner, "writes", None)
-        before = (None if writes is None else
-                  {name: getattr(ctx, name) for name in ARTIFACT_FIELDS
-                   if name not in writes})
-        reads = getattr(self.inner, "reads", None)
-        if reads is not None and strict_reads_enabled():
-            allowed = (frozenset(reads)
-                       | frozenset(writes if writes is not None
-                                   else ARTIFACT_FIELDS)
-                       | INFRA_FIELDS)
-            run_ctx: CompilationContext = _StrictContext(
-                ctx, allowed, self.name)
-        else:
-            run_ctx = ctx
-        result = self.inner.run(run_ctx)
-        if result is None:
+        reads, writes = _declarations(self.inner)
+        view = _ScopedContext(ctx, reads, writes, self.name)
+        if self.inner.run(view) is not view:
             raise TypeError(
-                f"pass {self.name!r} returned None; run(ctx) must return "
-                f"the context"
+                f"pass {self.name!r} did not return the context it was "
+                f"given; run(ctx) must return ctx"
             )
-        ctx = _unwrap(result)
-        if writes is None:
-            writes = ARTIFACT_FIELDS
-        else:
-            # a wrong declaration would make warm hits silently diverge
-            # from cold runs; catch it loudly on the miss path instead
-            undeclared = [name for name, value in before.items()
-                          if getattr(ctx, name) is not value]
-            if undeclared:
-                raise ValueError(
-                    f"pass {self.name!r} wrote context field(s) "
-                    f"{undeclared} not declared in its writes={writes}; "
-                    f"fix the declaration or caching will serve partial "
-                    f"snapshots"
-                )
         snapshot = {name: getattr(ctx, name) for name in writes}
         self.cache.put(key, snapshot)
         _record_derived(ctx, key, snapshot)

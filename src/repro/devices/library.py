@@ -18,6 +18,8 @@
 
 from __future__ import annotations
 
+import functools
+
 from repro.devices.topology import Device
 
 
@@ -153,17 +155,30 @@ def by_name(name: str) -> Device:
         ) from None
 
 
+@functools.cache
+def _largest_named_device() -> int:
+    """Qubits of the largest paper device: the cap on a sized target."""
+    return max(factory().n_qubits for factory in _BY_NAME.values())
+
+
 def target_device(name: str, n_qubits: int,
                   requires_device: bool = True) -> Device:
     """The device a compiler targets for an ``n_qubits``-qubit problem.
 
     ``all-to-all`` (any case) is sized to the problem, and so is every
     name when the compiler ignores connectivity (``requires_device``
-    false: NoMap, Paulihedral).  Any other name is a paper device, which
-    must be large enough.  Every front end (CLI, batch, server) resolves
-    its target here, so they all agree on it.
+    false: NoMap, Paulihedral), up to the size of the largest paper
+    device -- an all-to-all device grows quadratically, so an unbounded
+    size would stall the caller before any pass could be cancelled.
+    Any other name is a paper device, which must be large enough.  Every
+    front end (CLI, batch, server) resolves its target here, so they all
+    agree on it.
     """
     if not requires_device or name.lower() == "all-to-all":
+        largest = _largest_named_device()
+        if n_qubits > largest:
+            raise ValueError(f"{n_qubits} qubits exceed the {largest}-qubit "
+                             f"cap on sized targets")
         return all_to_all(n_qubits)
     device = by_name(name)
     if n_qubits > device.n_qubits:

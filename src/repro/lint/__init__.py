@@ -1,9 +1,7 @@
 """Static contract checkers for the reproduction's domain invariants.
 
-``python -m repro lint`` runs five AST-based checkers over the tree:
+``python -m repro lint`` runs four AST-based checkers over the tree:
 
-* **RPR001 pass-contract** -- ``reads``/``writes`` declarations match
-  what each pass's ``run`` actually touches (cache-key soundness);
 * **RPR002 fingerprint-coverage** -- every type reachable from the
   compilation context is fingerprintable (cache invalidation);
 * **RPR003 metrics-schema** -- every service counter exists in
@@ -13,7 +11,10 @@
 * **RPR005 async-hygiene** -- no blocking calls on the service event
   loop, no ``await`` under a ``threading.Lock``.
 
-Pure stdlib ``ast``; no third-party analysis dependencies.
+Pure stdlib ``ast``; no third-party analysis dependencies.  Pass
+``reads``/``writes`` declarations need no checker: ``CachedPass`` runs
+every cache miss on a scoped view of the context that rejects any
+access outside them (:mod:`repro.cache.cached`).
 """
 
 from repro.lint.framework import (

@@ -1,14 +1,12 @@
 """The static-analysis substrate: findings, projects, checker registry.
 
 The compiler's correctness rests on contracts no general-purpose linter
-knows about: a pass's ``reads``/``writes`` declarations must match what
-its ``run`` body actually touches (cache-key soundness), every type a
-pass can leave on the context must be fingerprintable (cache
-invalidation), every metrics counter must exist in the schema before
-production increments it, compile-path modules must be seed-driven
-(bit-identity), and the async front end must never block its event
-loop.  This module provides the shared machinery those domain checkers
-run on:
+knows about: every type a pass can leave on the context must be
+fingerprintable (cache invalidation), every metrics counter must exist
+in the schema before production increments it, compile-path modules
+must be seed-driven (bit-identity), and the async front end must never
+block its event loop.  This module provides the shared machinery those
+domain checkers run on:
 
 * :class:`Finding` -- one ``file:line`` diagnostic with a check id,
   message and severity.
@@ -193,7 +191,6 @@ def all_checkers() -> dict[str, type[Checker]]:
     """The registry with the built-in suite imported (self-registering)."""
     from repro.lint import (  # noqa: F401 - imported for registration
         async_hygiene,
-        contracts,
         determinism,
         metrics_schema,
     )
@@ -311,13 +308,9 @@ def string_tuple(node: ast.AST) -> tuple[str, ...] | None:
 @dataclass(frozen=True)
 class PassClass:
     """One pass declaration found in a module: the class plus its
-    ``reads``/``writes``/``fingerprint_ignore`` ClassVar tuples."""
+    ``fingerprint_ignore`` ClassVar tuple."""
 
-    module: Module
     node: ast.ClassDef
-    run: ast.FunctionDef
-    reads: tuple[str, ...] | None
-    writes: tuple[str, ...] | None
     fingerprint_ignore: tuple[str, ...]
 
 
@@ -340,23 +333,13 @@ def iter_pass_classes(module: Module) -> list[PassClass]:
     tree = module.tree
     if tree is None:
         return []
-    passes: list[PassClass] = []
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.ClassDef):
-            continue
-        run = next(
-            (stmt for stmt in node.body
-             if isinstance(stmt, ast.FunctionDef) and stmt.name == "run"),
-            None,
-        )
-        if run is None:
-            continue
-        reads = _class_tuple(node, "reads")
-        writes = _class_tuple(node, "writes")
-        if reads is None and writes is None:
-            continue
-        passes.append(PassClass(
-            module=module, node=node, run=run, reads=reads, writes=writes,
-            fingerprint_ignore=_class_tuple(node, "fingerprint_ignore") or (),
-        ))
-    return passes
+    return [
+        PassClass(node=node, fingerprint_ignore=_class_tuple(
+            node, "fingerprint_ignore") or ())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "run"
+                for stmt in node.body)
+        and (_class_tuple(node, "reads") is not None
+             or _class_tuple(node, "writes") is not None)
+    ]

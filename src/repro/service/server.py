@@ -90,6 +90,8 @@ from repro.service.queue import (
 
 _TENANT_RE = re.compile(r"^[A-Za-z0-9._-]{0,64}$")
 _MAX_BODY_BYTES = 16 * 1024 * 1024
+#: Cap on the request line plus headers, checked as bytes arrive.
+_MAX_HEAD_BYTES = 64 * 1024
 _STATUS_REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
     405: "Method Not Allowed", 413: "Payload Too Large",
@@ -671,15 +673,20 @@ class _ConnectionReader:
         else:
             self._buffer += chunk
 
-    async def readline(self) -> bytes:
-        while b"\n" not in self._buffer and not self._eof:
-            await self._fill()
+    async def readline(self, limit: int) -> bytes:
+        """The next line, newline included (the rest of the stream at
+        EOF); :class:`_BadRequest` once it would pass ``limit`` bytes,
+        so no client can stream an endless head into memory."""
         index = self._buffer.find(b"\n")
-        if index < 0:
-            line, self._buffer = self._buffer, b""
-            return line
-        line = self._buffer[:index + 1]
-        self._buffer = self._buffer[index + 1:]
+        while index < 0 and not self._eof and len(self._buffer) <= limit:
+            scanned = len(self._buffer)
+            await self._fill()
+            index = self._buffer.find(b"\n", scanned)
+        end = len(self._buffer) if index < 0 else index + 1
+        if end > limit:
+            raise _BadRequest(
+                f"request head exceeds {_MAX_HEAD_BYTES} bytes")
+        line, self._buffer = self._buffer[:end], self._buffer[end:]
         return line
 
     async def readexactly(self, n: int) -> bytes:
@@ -698,7 +705,8 @@ class _ConnectionReader:
 
 async def _read_request(conn: _ConnectionReader,
                         ) -> tuple[str, str, str, dict, bytes]:
-    line = await conn.readline()
+    head = _MAX_HEAD_BYTES      # budget left for the line and headers
+    line = await conn.readline(head)
     if not line:
         raise ConnectionResetError("client closed the connection")
     parts = line.decode("latin-1").strip().split()
@@ -707,7 +715,8 @@ async def _read_request(conn: _ConnectionReader,
     method, target, version = parts
     headers: dict[str, str] = {}
     while True:
-        line = await conn.readline()
+        head -= len(line)
+        line = await conn.readline(head)
         if line in (b"\r\n", b"\n", b""):
             break
         name, _, value = line.decode("latin-1").partition(":")

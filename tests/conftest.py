@@ -14,18 +14,6 @@ _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.diag([1, -1]).astype(complex)
 
 
-@pytest.fixture(autouse=True)
-def strict_cache_reads(monkeypatch):
-    """Every cached compile in the suite audits pass reads dynamically.
-
-    With ``REPRO_CACHE_STRICT=1`` :class:`repro.cache.cached.CachedPass`
-    wraps the context in a read-auditing proxy on the miss path, so an
-    undeclared context read (an under-scoped cache key) fails the test
-    that triggers it instead of silently serving stale artifacts later.
-    """
-    monkeypatch.setenv("REPRO_CACHE_STRICT", "1")
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -123,6 +123,18 @@ class TestTargetDevice:
         device = target_device("aspen", 30, requires_device=False)
         assert device.name == "all-to-all-30"
 
+    @pytest.mark.parametrize("name, requires_device",
+                             [("all-to-all", True), ("aspen", False)],
+                             ids=["all-to-all", "device-free"])
+    def test_sized_target_capped_at_largest_named_device(
+            self, name, requires_device):
+        """manhattan (65 qubits) bounds every sized target."""
+        device = target_device(name, 65, requires_device)
+        assert device.name == "all-to-all-65"
+        with pytest.raises(ValueError,
+                           match="^66 qubits exceed the 65-qubit cap"):
+            target_device(name, 66, requires_device)
+
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError, match="unknown device"):
             target_device("nonexistent", 4)

@@ -51,7 +51,7 @@ class TestProject:
 class TestRunLint:
     def test_all_five_checkers_registered(self):
         assert list(all_checkers()) == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR002", "RPR003", "RPR004", "RPR005",
         ]
 
     def test_unknown_select_id_raises(self):

@@ -28,7 +28,7 @@ class TestRealTree:
         payload = json.loads(proc.stdout)
         assert payload["version"] == 1
         assert [c["id"] for c in payload["checks"]] == [
-            "RPR001", "RPR002", "RPR003", "RPR004", "RPR005",
+            "RPR002", "RPR003", "RPR004", "RPR005",
         ]
         assert payload["findings"] == []
         assert payload["summary"]["errors"] == 0
@@ -38,7 +38,7 @@ class TestRealTree:
     def test_list_checks(self):
         proc = run_lint_cli("--list-checks")
         assert proc.returncode == 0
-        for check_id in ("RPR001", "RPR002", "RPR003", "RPR004", "RPR005"):
+        for check_id in ("RPR002", "RPR003", "RPR004", "RPR005"):
             assert check_id in proc.stdout
 
 
@@ -67,7 +67,7 @@ class TestExitCodes:
             "import numpy as np\n"
             "rng = np.random.default_rng()\n"
         )
-        proc = run_lint_cli("--root", str(tmp_path), "--select", "RPR001")
+        proc = run_lint_cli("--root", str(tmp_path), "--select", "RPR005")
         assert proc.returncode == 0
         proc = run_lint_cli("--root", str(tmp_path), "--ignore", "RPR004")
         assert proc.returncode == 0

@@ -354,6 +354,27 @@ class TestHttpFrontEnd:
         assert b"Content-Length header" in data
         assert data.count(b"HTTP/1.1") == 1
 
+    def test_oversized_request_head_is_400(self):
+        """A head with no newline in sight is refused once it passes
+        64 KiB, not buffered until the idle timeout."""
+        import socket
+
+        with serving() as handle:
+            sock = socket.create_connection(("127.0.0.1", handle.port),
+                                            timeout=10)
+            sock.settimeout(10.0)
+            sock.sendall(b"GET /" + b"a" * (64 * 1024 + 1024))
+            chunks = []
+            while True:
+                chunk = sock.recv(65536)
+                if not chunk:
+                    break
+                chunks.append(chunk)
+            sock.close()
+        data = b"".join(chunks)
+        assert data.startswith(b"HTTP/1.1 400")
+        assert b"request head exceeds 65536 bytes" in data
+
     def test_metrics_prometheus_exposition(self):
         with serving() as handle:
             client = CompileClient(port=handle.port)

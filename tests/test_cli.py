@@ -6,6 +6,7 @@ import pytest
 
 from repro.__main__ import main, make_parser
 from repro.core.registry import compiler_names
+from repro.synthesis.templates import reset_default_templates
 
 
 class TestParser:
@@ -363,8 +364,12 @@ class TestCompileBind:
             "--qubits", "6"]
 
     def test_bind_matches_concrete_compile(self, capsys):
+        # fresh template memos: cache_stats must not depend on which
+        # compiles ran earlier in the process
+        reset_default_templates()
         assert main(self.ARGS + ["--json"]) == 0
         concrete = json.loads(capsys.readouterr().out)
+        reset_default_templates()
         assert main(self.ARGS + ["--bind", "gamma=0.35,beta=-0.39",
                                  "--json"]) == 0
         bound = json.loads(capsys.readouterr().out)
