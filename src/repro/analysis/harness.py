@@ -141,6 +141,30 @@ def build_symbolic_step(benchmark: str, n_qubits: int, instance_seed: int,
     return trotter_step(builder(n_qubits, seed=instance_seed), t=Param("t"))
 
 
+@dataclass(frozen=True)
+class ProblemRecipe:
+    """The plain values a benchmark problem is built from.
+
+    ``build()`` runs :func:`build_step` (or :func:`build_symbolic_step`
+    when ``symbolic``).  Handed to
+    :func:`repro.cache.cached.compile_cached` in place of a step, a
+    recipe lets a warm compile skip building and hashing the problem:
+    the artifact cache remembers the content fingerprint each recipe's
+    step had.
+    """
+
+    benchmark: str
+    n_qubits: int
+    seed: int
+    qaoa_degree: int = 3
+    symbolic: bool = False
+
+    def build(self) -> TrotterStep:
+        builder = build_symbolic_step if self.symbolic else build_step
+        return builder(self.benchmark, self.n_qubits, self.seed,
+                       self.qaoa_degree)
+
+
 def default_binding(benchmark: str) -> dict[str, float]:
     """The angle values :func:`build_step` bakes into a benchmark."""
     if benchmark.startswith("QAOA"):

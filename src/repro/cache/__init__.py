@@ -15,10 +15,12 @@ content keys, never coarser.
   compilation value (steps, devices, gate sets, circuits, passes).
 * :mod:`repro.cache.store` -- the artifact stores: an in-memory LRU
   layer and an append-only disk layer safe under concurrent processes,
-  combined by :class:`ArtifactCache`.
+  combined by :class:`ArtifactCache`, which also holds the problem
+  index (problem recipe -> step content fingerprint).
 * :mod:`repro.cache.cached` -- :class:`CachedPass` /
   :class:`CachedPipeline`, the wrappers that consult the cache before
-  executing a pass, plus :func:`compile_cached`.
+  executing a pass, plus :func:`compile_cached`, which accepts a step
+  or a problem recipe.
 """
 
 from repro.cache.cached import (

@@ -12,10 +12,12 @@ The cache key of one pass execution is
   never serve a stale artifact;
 * a *field id* names one field value.  Inputs (``step``, ``device``,
   ...) are identified by content, their fingerprint computed at most
-  once per compilation.  An artifact written by a :class:`CachedPass`
-  is identified by derivation: ``fingerprint("derived", <the writing
-  pass's key>, field name)``, recorded on the hit and on the miss path
-  alike, so no artifact is ever content-hashed.
+  once per compilation (for a step built from a recipe, read from the
+  cache's problem index, see :func:`compile_cached`).  An artifact
+  written by a :class:`CachedPass` is identified by derivation:
+  ``fingerprint("derived", <the writing pass's key>, field name)``,
+  recorded on the hit and on the miss path alike, so no artifact is
+  ever content-hashed.
 
 Each recorded id is kept next to the object it names and used only
 while the context field still *is* that object; a field reassigned
@@ -54,6 +56,7 @@ pin that property for every registry compiler.
 
 from __future__ import annotations
 
+from repro.analysis.harness import ProblemRecipe
 from repro.cache.fingerprint import fingerprint, fingerprint_pass
 from repro.cache.store import ArtifactCache
 from repro.core.pipeline import (
@@ -105,7 +108,8 @@ class _ScopedContext:
     already assigned in this run; stores outside ``writes`` raise
     ``ValueError`` before the context changes.  Loads of anything else
     (infrastructure fields, methods, private attributes) forward to the
-    wrapped context.
+    wrapped context.  A deferred step is built at its first load, so
+    the pass always sees a real step.
     """
 
     __slots__ = ("_ctx", "_reads", "_writes", "_assigned", "_pass_name")
@@ -130,11 +134,11 @@ class _ScopedContext:
 
     def require(self, attribute: str):
         self._audit(attribute)
-        return self._ctx.require(attribute)
+        return _materialized(self._ctx, self._ctx.require(attribute))
 
     def __getattr__(self, name: str):
         self._audit(name)
-        return getattr(self._ctx, name)
+        return _materialized(self._ctx, getattr(self._ctx, name))
 
     def __setattr__(self, name: str, value) -> None:
         if name not in self._writes:
@@ -168,6 +172,48 @@ def _field_ids(ctx) -> dict:
     return field_ids
 
 
+class _DeferredStep:
+    """The ``step`` input of a recipe compilation, not yet needed.
+
+    Carries the step's content id, so keys never need the step itself;
+    ``build`` makes the step the first time a missing pass loads it.
+    Private to :func:`compile_cached`: passes only ever see the built
+    step, and no result field holds this object.
+    """
+
+    __slots__ = ("build", "field_id")
+
+    def __init__(self, build, field_id: str) -> None:
+        self.build = build
+        self.field_id = field_id
+
+
+def _materialized(ctx, value):
+    """``value`` as a pass may see it: a deferred step is built, bound
+    to ``ctx.step`` and recorded under its content id."""
+    if not isinstance(value, _DeferredStep):
+        return value
+    step = value.build()
+    ctx.step = step
+    _field_ids(ctx)["step"] = (step, value.field_id)
+    return step
+
+
+def _deferred_step(recipe: ProblemRecipe, cache: ArtifactCache,
+                   ) -> _DeferredStep:
+    """``recipe``'s step as a deferred input, through the cache's
+    problem index: a hit yields the content id without building the
+    step; a miss builds and hashes it once and records the id."""
+    index_key = fingerprint("problem", recipe)
+    step_id = cache.get_index(index_key)
+    if step_id is not None:
+        return _DeferredStep(recipe.build, step_id)
+    step = recipe.build()
+    step_id = fingerprint(step)
+    cache.put_index(index_key, step_id)
+    return _DeferredStep(lambda: step, step_id)
+
+
 def _record_derived(ctx, key: str, snapshot: dict) -> None:
     """Identify every field a pass wrote by the key that derived it."""
     field_ids = _field_ids(ctx)
@@ -194,6 +240,8 @@ def _key(stage, ctx, field_ids: dict) -> str:
         recorded = field_ids.get(name)
         if recorded is not None and recorded[0] is value:
             field_id = recorded[1]
+        elif isinstance(value, _DeferredStep):
+            field_id = value.field_id
         else:
             field_id = fingerprint(value)
             field_ids[name] = (value, field_id)
@@ -271,12 +319,26 @@ def compile_cached(compiler, step, cache: ArtifactCache,
     ``compiler.compile`` uses, so the result is bit-identical to the
     uncached call by construction.
 
+    ``step`` is a :class:`~repro.hamiltonians.trotter.TrotterStep` or a
+    :class:`~repro.analysis.harness.ProblemRecipe`.  A recipe is looked
+    up in the cache's problem index, which maps
+    ``fingerprint("problem", recipe)`` to the content fingerprint of
+    the step the recipe builds.  On an index miss the step is built and
+    hashed once and the digest recorded; on a hit nothing is built.
+    Either way the step enters the context deferred, carrying its
+    content id: every key is the one the built step would give, and the
+    step is built only if some pass misses and loads it.  So a fully
+    warm recipe compile neither builds nor hashes its problem, and
+    shares every artifact with callers that pass steps.
+
     A symbolic ``step`` fingerprints by parameter *names*, not values,
     and the structural passes do not read ``binding``, so every binding
     of one circuit shape shares the unify-through-schedule cache prefix;
     only the bind pass (and decomposition behind it) keys on the angle
     values.
     """
+    if isinstance(step, ProblemRecipe):
+        step = _deferred_step(step, cache)
     return run_pipeline(
         CachedPipeline(compiler.build_pipeline(), cache), step,
         gateset=compiler.gateset,

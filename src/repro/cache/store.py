@@ -14,7 +14,9 @@ a caller mutating a returned circuit cannot corrupt the store.
   miss.
 * :class:`ArtifactCache` -- the tiered front the cached pipeline talks
   to: memory first, then disk (promoting hits), with global and
-  per-pass hit/miss counters.
+  per-pass hit/miss counters.  The same two layers also hold the
+  problem index (:meth:`ArtifactCache.get_index`): raw digest records
+  mapping a problem recipe to its step's content fingerprint.
 """
 
 from __future__ import annotations
@@ -25,7 +27,15 @@ import threading
 from collections import OrderedDict
 from pathlib import Path
 
+from repro.cache.fingerprint import DIGEST_LEN
+
 _DEFAULT_MEMORY_LIMIT = 1024
+_HEX_DIGITS = frozenset(b"0123456789abcdef")
+
+
+def _is_digest(payload: bytes) -> bool:
+    """Whether ``payload`` is one fingerprint: DIGEST_LEN lowercase hex."""
+    return len(payload) == DIGEST_LEN and _HEX_DIGITS.issuperset(payload)
 
 
 class MemoryArtifactStore:
@@ -136,6 +146,8 @@ class ArtifactCache:
         self.disk = DiskArtifactStore(directory) if directory else None
         self.hits = 0
         self.misses = 0
+        self.index_hits = 0
+        self.index_misses = 0
         self.pass_events: dict[str, dict[str, int]] = {}
 
     @property
@@ -143,30 +155,16 @@ class ArtifactCache:
         return self.disk.root if self.disk is not None else None
 
     # ------------------------------------------------------------------
-    def get(self, key: str) -> object | None:
+    def _load(self, key: str) -> bytes | None:
+        """Raw bytes under ``key``: memory first, then disk (promoted)."""
         payload = self.memory.get(key)
         if payload is None and self.disk is not None:
             payload = self.disk.get(key)
             if payload is not None:
                 self.memory.put(key, payload)
-        if payload is None:
-            self.misses += 1
-            return None
-        try:
-            value = pickle.loads(payload)
-        except Exception:
-            # a corrupt entry is a miss; evict it so a later put can
-            # rewrite the key instead of the bad payload living forever
-            self.memory.discard(key)
-            if self.disk is not None:
-                self.disk.discard(key)
-            self.misses += 1
-            return None
-        self.hits += 1
-        return value
+        return payload
 
-    def put(self, key: str, value: object) -> None:
-        payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+    def _store(self, key: str, payload: bytes) -> None:
         self.memory.put(key, payload)
         if self.disk is not None:
             try:
@@ -174,8 +172,58 @@ class ArtifactCache:
             except OSError:
                 # the cache is an optimization: an unwritable or full
                 # directory must not abort a compilation that already
-                # succeeded -- the artifact stays in the memory layer
+                # succeeded -- the entry stays in the memory layer
                 pass
+
+    def _discard(self, key: str) -> None:
+        """Evict an unreadable entry from both layers, so a later put
+        can rewrite the key instead of the bad bytes living forever."""
+        self.memory.discard(key)
+        if self.disk is not None:
+            self.disk.discard(key)
+
+    def get(self, key: str) -> object | None:
+        payload = self._load(key)
+        if payload is None:
+            self.misses += 1
+            return None
+        try:
+            value = pickle.loads(payload)
+        except Exception:
+            self._discard(key)      # a corrupt entry is a miss
+            self.misses += 1
+            return None
+        self.hits += 1
+        return value
+
+    def put(self, key: str, value: object) -> None:
+        self._store(key, pickle.dumps(value,
+                                      protocol=pickle.HIGHEST_PROTOCOL))
+
+    # ------------------------------------------------------------------
+    def get_index(self, key: str) -> str | None:
+        """The digest recorded under index ``key``, or None.
+
+        Index records live in the artifact layers as raw digest bytes
+        (no pickle).  Their lookups count in ``index_hits``/
+        ``index_misses``, never in the artifact ``hits``/``misses``.  A
+        record that is not exactly a digest reads as a miss and is
+        evicted from both layers, so the caller's :meth:`put_index`
+        rewrites it (the disk layer never overwrites a file).
+        """
+        payload = self._load(key)
+        if payload is not None and not _is_digest(payload):
+            self._discard(key)
+            payload = None
+        if payload is None:
+            self.index_misses += 1
+            return None
+        self.index_hits += 1
+        return payload.decode("ascii")
+
+    def put_index(self, key: str, digest: str) -> None:
+        """Record ``digest`` (a fingerprint) under index ``key``."""
+        self._store(key, digest.encode("ascii"))
 
     # ------------------------------------------------------------------
     def record_event(self, pass_name: str, hit: bool) -> None:
@@ -191,11 +239,15 @@ class ArtifactCache:
         summary, the server's ``/metrics`` endpoint and the sweep report
         all consume this plain dict (or deltas of two snapshots via
         :func:`stats_delta`) instead of poking ``hits``/``misses``
-        directly.
+        directly.  ``hits``/``misses`` count artifact lookups only;
+        problem-index lookups are under ``index``.  ``memory_entries``
+        counts artifacts and index records alike.
         """
         return {
             "hits": self.hits,
             "misses": self.misses,
+            "index": {"hits": self.index_hits,
+                      "misses": self.index_misses},
             "memory_entries": len(self.memory),
             "per_pass": {name: dict(events)
                          for name, events in self.pass_events.items()},
@@ -206,6 +258,8 @@ class ArtifactCache:
         resets -- e.g. a metrics scrape-and-reset cycle)."""
         self.hits = 0
         self.misses = 0
+        self.index_hits = 0
+        self.index_misses = 0
         self.pass_events = {}
 
 
@@ -223,6 +277,8 @@ def stats_delta(before: dict, after: dict) -> dict:
     return {
         "hits": after["hits"] - before["hits"],
         "misses": after["misses"] - before["misses"],
+        "index": {key: value - before["index"][key]
+                  for key, value in after["index"].items()},
         "memory_entries": after["memory_entries"],
         "per_pass": per_pass,
     }
@@ -250,6 +306,14 @@ class LockingArtifactCache(ArtifactCache):
     def put(self, key: str, value: object) -> None:
         with self._lock:
             super().put(key, value)
+
+    def get_index(self, key: str) -> str | None:
+        with self._lock:
+            return super().get_index(key)
+
+    def put_index(self, key: str, digest: str) -> None:
+        with self._lock:
+            super().put_index(key, digest)
 
     def record_event(self, pass_name: str, hit: bool) -> None:
         with self._lock:

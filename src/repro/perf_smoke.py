@@ -17,29 +17,34 @@ from __future__ import annotations
 
 import math
 import sys
+import tempfile
 import time
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.harness import build_symbolic_step
+from repro.analysis.harness import build_step, build_symbolic_step
+from repro.cache.cached import compile_cached
+from repro.cache.store import ArtifactCache
 from repro.core.bind import compile_structural
 from repro.core.decompose import (
     DecomposeCache,
     decompose_circuit,
     decompose_circuit_reference,
 )
-from repro.core.registry import get_compiler
+from repro.core.registry import get_compiler, resolve_spec
 from repro.core.routing import route
 from repro.core.unify import unify_circuit_operators
 from repro.devices import sycamore
+from repro.devices.library import target_device
 from repro.hamiltonians.models import nnn_heisenberg
 from repro.hamiltonians.trotter import trotter_step
 from repro.mapping.qap import qap_from_problem
 from repro.mapping.tabu import tabu_search, tabu_trials
 from repro.quantum.gates import standard_gate_unitary
 from repro.quantum.unitaries import random_unitary
+from repro.service.batch import CompileRequest, execute_request
 from repro.synthesis.gateset import get_gateset
 from repro.synthesis.templates import TemplateCache
 from repro.synthesis.weyl import canonical_gate
@@ -249,6 +254,60 @@ def _bound_identical(warm, cold) -> bool:
         for w, c in zip(warm, cold))
 
 
+#: The warm case's requests: the four applications at their sycamore
+#: sizes in the Figs. 7-9 cells, each through three compilers.
+_WARM_REQUESTS = tuple(
+    CompileRequest(compiler=compiler, benchmark=benchmark, n_qubits=n,
+                   device="sycamore", gateset="SYC", seed=seed)
+    for seed, (benchmark, n) in enumerate((
+        ("NNN_Heisenberg", 34), ("NNN_XY", 28), ("NNN_Ising", 24),
+        ("QAOA-REG-3", 30)))
+    for compiler in ("2qan", "tket", "nomap"))
+
+
+def _library_compile(request: CompileRequest, cache: ArtifactCache):
+    """``request`` the way a library caller compiles it: build the
+    step, then ``compile_cached`` (which content-hashes it)."""
+    spec = resolve_spec(request.compiler)
+    compiler = get_compiler(
+        spec.name, gateset=request.gateset, seed=request.seed,
+        device=target_device(request.device, request.n_qubits,
+                             spec.requires_device))
+    step = build_step(request.benchmark, request.n_qubits, request.seed,
+                      request.qaoa_degree)
+    return compile_cached(compiler, step, cache)
+
+
+def _warm_inputs():
+    """A temp-dir cache pre-warmed by library compiles, then served
+    once so its problem index holds every request's step digest.  The
+    directory is removed when the inputs are dropped."""
+    directory = tempfile.TemporaryDirectory(prefix="repro-warm-")
+    inputs = (directory, _WARM_REQUESTS)
+    _library_replay(inputs)
+    _service_replay(inputs)
+    return inputs
+
+
+def _service_replay(inputs) -> list:
+    directory, requests = inputs
+    cache = ArtifactCache(directory.name)
+    return [execute_request(request, cache) for request in requests]
+
+
+def _library_replay(inputs) -> list:
+    directory, requests = inputs
+    cache = ArtifactCache(directory.name)
+    return [_library_compile(request, cache) for request in requests]
+
+
+def _same_metrics(responses, results) -> bool:
+    return len(responses) == len(results) and all(
+        response.to_dict()[name] == value
+        for response, result in zip(responses, results)
+        for name, value in result.metric_fields().items())
+
+
 CASES: tuple[Case, ...] = (
     Case("mapping", "n=16 Heisenberg/sycamore swap neighbourhood, "
                     "delta matrix vs scalar probes",
@@ -264,7 +323,7 @@ CASES: tuple[Case, ...] = (
          reference=lambda inputs: [tabu_search(inputs[0], seed=seed)
                                    for seed in inputs[1]],
          identical=_trials_identical,
-         floor=1.5, rounds=3),
+         floor=1.5, rounds=7),
     Case("routing", "n=34 Heisenberg/sycamore, incremental vs "
                     "scalar-rescan router",
          build=_routing_inputs,
@@ -296,7 +355,15 @@ CASES: tuple[Case, ...] = (
          fast=lambda state: [state[0].bind(binding) for binding in state[1]],
          reference=_cold_compiles,
          identical=_bound_identical,
-         floor=10.0, setup_floor=5.0, rounds=1),
+         floor=10.0, setup_floor=5.0, rounds=5),
+    Case("warm", "12 sycamore/SYC requests on a pre-warmed disk cache, "
+                 "service replay (problem index) vs library replay "
+                 "(build and hash each step)",
+         build=_warm_inputs,
+         fast=_service_replay,
+         reference=_library_replay,
+         identical=_same_metrics,
+         floor=1.5),
 )
 
 
@@ -359,8 +426,9 @@ def _timed(fn: Callable[[Any], Any], arg: Any) -> tuple[float, Any]:
 
 
 def measure(case: Case) -> Outcome:
-    """Time ``case.rounds`` fast rounds, then as many reference rounds;
-    keep each side's best."""
+    """Time ``case.rounds`` fast rounds and as many reference rounds,
+    alternating, so a burst of host noise lands on both sides; keep
+    each side's best."""
     inputs = case.build()
     prepare_s = fast_s = reference_s = math.inf
     fast_out = reference_out = None
@@ -370,7 +438,6 @@ def measure(case: Case) -> Outcome:
         round_fast_s, fast_out = _timed(case.fast, state)
         if round_prepare_s + round_fast_s < prepare_s + fast_s:
             prepare_s, fast_s = round_prepare_s, round_fast_s
-    for _ in range(case.rounds):
         round_reference_s, reference_out = _timed(case.reference, inputs)
         reference_s = min(reference_s, round_reference_s)
     return Outcome(case, prepare_s, fast_s, reference_s,

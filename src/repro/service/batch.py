@@ -391,13 +391,22 @@ def execute_request(request: CompileRequest,
     building its problem or its compiler.  Without ``structurals`` the
     binding still flows through the cache-aware pipeline, so requests
     sharing a structural prefix reuse it through the artifact cache.
+
+    The problem travels as a
+    :class:`~repro.analysis.harness.ProblemRecipe`; this function never
+    builds a step itself.  With a ``cache`` the recipe goes to
+    :func:`~repro.cache.cached.compile_cached`, whose problem index
+    lets a request that hits every stage skip building and hashing its
+    step, under the same content keys library callers use.  The
+    structural and uncached paths call ``recipe.build()``.
+
     ``request_key`` threads the dedupe key the serving layer already
     computed into the response (so it is never recomputed downstream).
     ``cancel`` rides into the pipeline context and is checked at every
     pass boundary; a fired token raises
     :class:`~repro.core.cancel.CompilationCancelled` out of this call.
     """
-    from repro.analysis.harness import build_step, build_symbolic_step
+    from repro.analysis.harness import ProblemRecipe
     from repro.cache.cached import compile_cached
     from repro.core.bind import bind_structural, compile_structural
     from repro.core.registry import get_compiler, resolve_spec
@@ -411,16 +420,13 @@ def execute_request(request: CompileRequest,
         structural = structurals.get(skey)
     if structural is None:
         # a structural hit needs none of this: its key already pins
-        # every field the device, the step and the compiler read
+        # every field the device, the problem and the compiler read
         spec = resolve_spec(request.compiler)
         device = target_device(request.device, request.n_qubits,
                                spec.requires_device)
-        if binding:
-            step = build_symbolic_step(request.benchmark, request.n_qubits,
-                                       request.seed, request.qaoa_degree)
-        else:
-            step = build_step(request.benchmark, request.n_qubits,
-                              request.seed, request.qaoa_degree)
+        recipe = ProblemRecipe(request.benchmark, request.n_qubits,
+                               request.seed, request.qaoa_degree,
+                               symbolic=bool(binding))
         compiler = get_compiler(spec.name, device=device,
                                 gateset=request.gateset, seed=request.seed)
     if cancel is not None:
@@ -428,14 +434,15 @@ def execute_request(request: CompileRequest,
     start = time.perf_counter()
     if coalesce:
         if structural is None:
-            structural = compile_structural(compiler, step, cancel=cancel)
+            structural = compile_structural(compiler, recipe.build(),
+                                            cancel=cancel)
             structurals[skey] = structural
         result = bind_structural(structural, binding, cancel=cancel)
     elif cache is not None:
-        result = compile_cached(compiler, step, cache,
+        result = compile_cached(compiler, recipe, cache,
                                 binding=binding or None, cancel=cancel)
     else:
-        result = compiler.compile(step, binding=binding or None,
+        result = compiler.compile(recipe.build(), binding=binding or None,
                                   cancel=cancel)
     elapsed = time.perf_counter() - start
     return CompileResponse(

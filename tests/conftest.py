@@ -56,3 +56,35 @@ def heisenberg_unitary():
 @pytest.fixture
 def dressed_swap_unitary():
     return standard_gate_unitary("SWAP") @ pauli_exponential(0.0, 0.0, 0.8)
+
+
+@pytest.fixture
+def problem_work(monkeypatch):
+    """Live counts of benchmark step builds (``build_step`` and
+    ``build_symbolic_step``) and of ``TrotterStep`` content hashes."""
+    import importlib
+
+    from repro.analysis import harness
+    from repro.hamiltonians.trotter import TrotterStep
+
+    fingerprint = importlib.import_module("repro.cache.fingerprint")
+    counts = {"builds": 0, "hashes": 0}
+
+    def counting_build(build):
+        def wrapper(*args, **kwargs):
+            counts["builds"] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    for name in ("build_step", "build_symbolic_step"):
+        monkeypatch.setattr(harness, name,
+                            counting_build(getattr(harness, name)))
+    update_dataclass = fingerprint._update_dataclass
+
+    def counting_update(h, obj):
+        if isinstance(obj, TrotterStep):
+            counts["hashes"] += 1
+        update_dataclass(h, obj)
+
+    monkeypatch.setattr(fingerprint, "_update_dataclass", counting_update)
+    return counts

@@ -171,6 +171,8 @@ class TestRoutes:
         # cache counters come from ArtifactCache.stats(), the one
         # counter snapshot API
         assert metrics["cache"]["default"]["misses"] > 0
+        assert metrics["cache"]["default"]["index"] == {"hits": 0,
+                                                        "misses": 1}
 
 
 class TestConcurrency:
@@ -279,6 +281,10 @@ class TestConcurrency:
         assert metrics["cache"]["team-b"]["hits"] == 0
         assert metrics["cache"]["team-b"]["misses"] == \
             metrics["cache"]["team-a"]["misses"]
+        # nor problem-index reuse
+        for tenant in ("team-a", "team-b"):
+            assert metrics["cache"][tenant]["index"] == {"hits": 0,
+                                                         "misses": 1}
 
 
 class TestHttpFrontEnd:

@@ -22,7 +22,8 @@ from repro.synthesis.gateset import get_gateset
 
 def test_case_table_covers_every_kernel():
     assert [case.name for case in CASES] == ["mapping", "tabu", "routing",
-                                             "synthesis", "lowering", "bind"]
+                                             "synthesis", "lowering", "bind",
+                                             "warm"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
@@ -41,6 +42,18 @@ def _stand_in(**overrides) -> Case:
                   reference=lambda x: time.sleep(0.02) or x,
                   identical=lambda a, b: a == b, floor=1.0, rounds=1)
     return Case(**{**fields, **overrides})
+
+
+def test_measure_alternates_fast_and_reference_rounds():
+    """Rounds interleave, so one burst of host noise cannot land on
+    one side only."""
+    calls = []
+    case = _stand_in(prepare=lambda x: calls.append("prepare") or x,
+                     fast=lambda x: calls.append("fast") or x,
+                     reference=lambda x: calls.append("reference") or x,
+                     rounds=3)
+    measure(case)
+    assert calls == ["prepare", "fast", "reference"] * 3
 
 
 def test_main_passes_when_identical_and_fast_enough(capsys):
