@@ -90,9 +90,6 @@ def make_parser() -> argparse.ArgumentParser:
     _sized(parser, compiler=False)
     parser.add_argument("--mapping-trials", type=int, default=5,
                         help="Tabu restarts (paper uses 5)")
-    parser.add_argument("--mapping-jobs", type=int, default=1,
-                        help="processes for the mapping trials "
-                             "(identical result, less wall time)")
     parser.add_argument("--compare", action="store_true",
                         help="also run the baseline compilers")
     parser.set_defaults(func=root_main)
@@ -362,8 +359,7 @@ def root_main(args) -> int:
     device = target_device(args.device, args.qubits)
     compiler = get_compiler("2qan", device=device, gateset=args.gateset,
                             seed=args.seed,
-                            mapping_trials=args.mapping_trials,
-                            mapping_jobs=args.mapping_jobs)
+                            mapping_trials=args.mapping_trials)
     result = compiler.compile(step)
     print(_header(args, device, args.gateset))
     print(f"  2QAN: {_metrics_text(result.metrics)}")

@@ -44,7 +44,7 @@ from repro.core.routing import QubitMap
 from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep, TwoQubitOperator
 from repro.mapping.placement import line_placement, random_mapping
-from repro.mapping.qap import qap_from_problem
+from repro.mapping.qap import qap_from_problem, validated_assignment
 from repro.quantum.circuit import Circuit
 from repro.synthesis.gateset import GateSet
 
@@ -188,8 +188,11 @@ class LinePlacementPass:
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
         device = ctx.require("device")
-        ctx.assignment = (np.asarray(ctx.initial) if ctx.initial is not None
-                          else line_placement(ctx.step.n_qubits, device))
+        n_logical = ctx.step.n_qubits
+        ctx.assignment = (
+            validated_assignment(ctx.initial, n_logical, device.n_qubits)
+            if ctx.initial is not None
+            else line_placement(n_logical, device))
         return ctx
 
 
@@ -209,7 +212,8 @@ class RandomPlacementPass:
         device = ctx.require("device")
         instance = qap_from_problem(working, device)
         if ctx.initial is not None:
-            ctx.assignment = np.asarray(ctx.initial)
+            ctx.assignment = validated_assignment(
+                ctx.initial, instance.n_logical, instance.n_physical)
         else:
             placements = [
                 random_mapping(ctx.step.n_qubits, device,

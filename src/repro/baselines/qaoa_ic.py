@@ -38,6 +38,7 @@ from repro.core.pipeline import (
 from repro.core.routing import QubitMap
 from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep
+from repro.mapping.qap import validated_assignment
 from repro.quantum.circuit import Circuit
 from repro.quantum.gates import Gate
 from repro.quantum.params import probe_binding
@@ -156,9 +157,11 @@ class DegreePlacementPass:
     def run(self, ctx: CompilationContext) -> CompilationContext:
         working = ctx.require("working")
         device = ctx.require("device")
-        ctx.assignment = (np.asarray(ctx.initial) if ctx.initial is not None
-                          else _degree_bfs_placement(working, device,
-                                                     ctx.seed))
+        ctx.assignment = (
+            validated_assignment(ctx.initial, working.n_qubits,
+                                 device.n_qubits)
+            if ctx.initial is not None
+            else _degree_bfs_placement(working, device, ctx.seed))
         return ctx
 
 

@@ -219,23 +219,20 @@ def fingerprint_pass(stage) -> str:
     """Fingerprint of a pipeline pass: class identity plus configuration.
 
     Dataclass passes hash their fields; other objects hash their public
-    ``vars()``.  Attributes named in the pass's ``fingerprint_ignore``
-    class attribute are excluded -- execution knobs (e.g. worker counts)
-    that cannot change the pass's output must not fragment the cache.
+    ``vars()``.
     """
     cls = type(stage)
-    ignore = set(getattr(stage, "fingerprint_ignore", ()))
     h = hashlib.sha256()
     _tag(h, f"pass:{cls.__module__}.{cls.__qualname__}")
     if dataclasses.is_dataclass(stage):
         for field in dataclasses.fields(stage):
-            if field.name.startswith("_") or field.name in ignore:
+            if field.name.startswith("_"):
                 continue
             _update(h, field.name)
             _update(h, getattr(stage, field.name))
     else:
         for name in sorted(vars(stage)):
-            if name.startswith("_") or name in ignore:
+            if name.startswith("_"):
                 continue
             _update(h, name)
             _update(h, getattr(stage, name))

@@ -44,7 +44,6 @@ class TwoQANCompiler(PipelineCompiler):
     gateset: GateSet
     seed: int = 0
     mapping_trials: int = 5
-    mapping_jobs: int = 1
     unify: bool = True
     dress: bool = True
     hybrid_schedule: bool = True
@@ -59,7 +58,7 @@ class TwoQANCompiler(PipelineCompiler):
         """The paper's Figure 2 stages, parameterised by the knobs."""
         return PassPipeline([
             UnifyPass(enabled=self.unify),
-            MapPass(trials=self.mapping_trials, jobs=self.mapping_jobs),
+            MapPass(trials=self.mapping_trials),
             RoutePass(dress=self.dress, criteria=self.swap_criteria),
             SchedulePass(hybrid=self.hybrid_schedule),
             BindPass(),

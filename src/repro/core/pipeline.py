@@ -44,7 +44,7 @@ from repro.core.unify import unify_circuit_operators
 from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep
 from repro.mapping.placement import best_of_k_mapping
-from repro.mapping.qap import qap_from_problem
+from repro.mapping.qap import qap_from_problem, validated_assignment
 from repro.quantum.circuit import Circuit
 from repro.synthesis.gateset import GateSet, get_gateset
 
@@ -112,13 +112,11 @@ class CompilationContext:
 class Pass(Protocol):
     """One pipeline stage: consume a context, return it enriched.
 
-    Passes may additionally declare three class attributes consumed by
+    Passes may additionally declare two class attributes consumed by
     the content-addressed cache (:mod:`repro.cache`):
 
     * ``reads`` -- the context fields the pass consumes (its cache key);
-    * ``writes`` -- the artifact fields it produces (its cache value);
-    * ``fingerprint_ignore`` -- configuration fields that cannot change
-      the output (e.g. worker counts) and must not fragment the cache.
+    * ``writes`` -- the artifact fields it produces (its cache value).
 
     A pass without declarations is still cacheable: it is keyed on the
     full context and snapshots every artifact field, which can only
@@ -291,30 +289,23 @@ class MapPass:
     """Stage 2: QAP-formulated placement via best-of-k Tabu search.
 
     Honours a fixed ``ctx.initial`` assignment when the driver provides
-    one (scoring it on the QAP instance instead of searching).
+    one (validating it and scoring it on the QAP instance instead of
+    searching).
 
-    Serially, the ``trials`` Tabu searches run in lockstep on one
-    stacked gain-matrix tensor (:func:`repro.mapping.tabu.tabu_trials`),
-    each trial updated by a rank-1 term per move; interaction-count
-    flows and hop-count distances are integer-valued, so the kernel is
-    exact and every trial's trajectory is bit-identical to running it
-    alone -- see "Mapping performance" in ``docs/architecture.md``.
-
-    ``jobs > 1`` fans the Tabu trials out over a process pool, one
-    1-trial search each; per-trial seeding is identical to the serial
-    path, so the selected mapping is bit-identical for every worker
-    count (which is why ``jobs`` is excluded from the pass's cache
-    fingerprint).
+    The ``trials`` Tabu searches run in lockstep on one stacked
+    gain-matrix tensor (:func:`repro.mapping.tabu.tabu_trials`), each
+    trial updated by a rank-1 term per move; interaction-count flows and
+    hop-count distances are integer-valued, so the kernel is exact and
+    every trial's trajectory is bit-identical to running it alone -- see
+    "Mapping performance" in ``docs/architecture.md``.
     """
 
     trials: int = 5
-    jobs: int = 1
     name: str = "mapping"
 
     reads: ClassVar[tuple[str, ...]] = ("working", "device", "seed",
                                         "initial")
     writes: ClassVar[tuple[str, ...]] = ("assignment", "qap_cost")
-    fingerprint_ignore: ClassVar[tuple[str, ...]] = ("jobs",)
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
         working = ctx.require("working")
@@ -322,10 +313,11 @@ class MapPass:
         instance = qap_from_problem(working, device)
         if ctx.initial is None:
             mapping = best_of_k_mapping(instance, k=self.trials,
-                                        seed=ctx.seed, jobs=self.jobs)
+                                        seed=ctx.seed)
             ctx.assignment, ctx.qap_cost = mapping.assignment, float(mapping.cost)
         else:
-            ctx.assignment = np.asarray(ctx.initial)
+            ctx.assignment = validated_assignment(
+                ctx.initial, instance.n_logical, instance.n_physical)
             ctx.qap_cost = float(instance.cost(ctx.assignment))
         return ctx
 

@@ -311,18 +311,17 @@ class FingerprintCoverageChecker(Checker):
                     ))
         for module in project.modules():
             for declared in iter_pass_classes(module):
-                info = index.get(declared.node.name)
+                info = index.get(declared.name)
                 if info is None or not info.is_dataclass:
                     continue
-                skip = set(declared.fingerprint_ignore)
                 for field_name, annotation in info.fields:
-                    if field_name in skip or field_name.startswith("_"):
+                    if field_name.startswith("_"):
                         continue
                     names, bare = annotation_names(annotation)
                     for name in sorted(names):
                         findings.extend(self._resolve(
                             name, index, known, accesses, seen,
-                            origin=f"{declared.node.name}.{field_name} "
+                            origin=f"{declared.name}.{field_name} "
                                    f"(pass config)",
                             module=module, line=annotation.lineno,
                         ))

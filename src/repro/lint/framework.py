@@ -305,15 +305,6 @@ def string_tuple(node: ast.AST) -> tuple[str, ...] | None:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class PassClass:
-    """One pass declaration found in a module: the class plus its
-    ``fingerprint_ignore`` ClassVar tuple."""
-
-    node: ast.ClassDef
-    fingerprint_ignore: tuple[str, ...]
-
-
 def _class_tuple(node: ast.ClassDef, name: str) -> tuple[str, ...] | None:
     """A literal string-tuple class attribute (``reads = (...,)``)."""
     for stmt in node.body:
@@ -327,16 +318,14 @@ def _class_tuple(node: ast.ClassDef, name: str) -> tuple[str, ...] | None:
     return None
 
 
-def iter_pass_classes(module: Module) -> list[PassClass]:
+def iter_pass_classes(module: Module) -> list[ast.ClassDef]:
     """Pass declarations in a module: classes with a ``run`` method and
     a ``reads`` or ``writes`` class attribute (the cache contract)."""
     tree = module.tree
     if tree is None:
         return []
     return [
-        PassClass(node=node, fingerprint_ignore=_class_tuple(
-            node, "fingerprint_ignore") or ())
-        for node in ast.walk(tree)
+        node for node in ast.walk(tree)
         if isinstance(node, ast.ClassDef)
         and any(isinstance(stmt, ast.FunctionDef) and stmt.name == "run"
                 for stmt in node.body)

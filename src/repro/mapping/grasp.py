@@ -4,7 +4,8 @@ Greedy Randomised Adaptive Search Procedure: each iteration builds a
 solution with a randomised greedy construction (place the heaviest
 remaining flow pair on the closest available location pair, choosing
 among the best few candidates at random), then improves it with a
-first-improvement 2-swap local search.  Kept deliberately simple -- it
+first-improvement 2-swap local search that reads its deltas off Tabu's
+gain matrix (:mod:`repro.mapping.tabu`).  Kept deliberately simple -- it
 exists to ablate the mapping heuristic choice, not to beat Tabu.
 """
 
@@ -13,7 +14,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.mapping.qap import QAPInstance
-from repro.mapping.tabu import TabuResult
+from repro.mapping.tabu import (
+    TabuResult,
+    gain_matrix,
+    half_deltas,
+    update_gain,
+)
 
 
 def grasp_search(instance: QAPInstance, seed: int = 0,
@@ -72,33 +78,39 @@ def _greedy_randomized_construction(instance: QAPInstance,
 
 def _local_search(instance: QAPInstance,
                   assignment: np.ndarray) -> tuple[np.ndarray, float]:
-    """First-improvement 2-swap descent on the vectorized delta table.
+    """First-improvement 2-swap descent on the Tabu gain matrix.
 
-    Replays the old scalar scan exactly: probe pairs in ``(i, j)``
+    Replays the scalar scan exactly: probe pairs in ``(i, j)``
     lexicographic order, apply the first improving swap immediately,
     resume scanning from the next pair, and stop after a full pass with
-    no improvement.  The delta table replaces the O(n) scalar probe per
-    pair and is refreshed in O(n^2) after each applied swap, so for
-    integer-valued instances the descent path is bit-identical.
+    no improvement.  Every swap delta is read off the gain matrix, which
+    each applied swap updates by one rank-1 term, so for integer-valued
+    instances the descent path is bit-identical.
     """
     n = instance.n_logical
     cost = instance.cost(assignment)
-    deltas = instance.swap_delta_matrix(assignment)
-    improving = np.triu(deltas < -1e-12, k=1)
+    stack = assignment[None]                 # a 1-trial view, updated in place
+    gain = gain_matrix(instance, stack)
+    no_free = np.empty((1, 0), dtype=int)
+    only = np.zeros(1, dtype=int)
     improved = True
     while improved:
         improved = False
         scan_from = 0
         while True:
-            rest = improving.flat[scan_from:]
+            swaps, _ = half_deltas(instance, gain, stack, no_free)
+            deltas = 2.0 * swaps[0]
+            rest = np.triu(deltas < -1e-12, k=1).flat[scan_from:]
             if not rest.any():
                 break
             flat = scan_from + int(np.argmax(rest))
             i, j = flat // n, flat % n
-            assignment[i], assignment[j] = assignment[j], assignment[i]
+            old, new = assignment[i], assignment[j]
+            assignment[i], assignment[j] = new, old
             cost += float(deltas[i, j])
-            instance.update_deltas_after_swap(deltas, assignment, i, j)
-            improving = np.triu(deltas < -1e-12, k=1)
+            update_gain(instance, gain, only,
+                        (instance.flow[i] - instance.flow[j])[None],
+                        np.array([old]), np.array([new]))
             improved = True
             scan_from = flat + 1
     return assignment, float(cost)

@@ -5,8 +5,8 @@ The paper runs randomized mapping five times and keeps the best result
 that protocol around any QAP solver.  ``line_placement`` mirrors t|ket>'s
 LinePlacement fallback used for large circuits.
 
-With the default solver, :func:`~repro.mapping.tabu.tabu_search`, the
-serial path runs all ``k`` trials as one lockstep search
+With the default solver, :func:`~repro.mapping.tabu.tabu_search`, all
+``k`` trials run as one lockstep search
 (:func:`~repro.mapping.tabu.tabu_trials`): one stacked gain-matrix
 tensor, so each numpy call serves every trial, and each trial's result
 is bit-identical to running it alone.  Any other solver
@@ -78,42 +78,21 @@ def line_placement(n_logical: int, device: Device) -> np.ndarray:
     return np.array(path[:n_logical])
 
 
-def _solve_trial(job: tuple) -> TabuResult:
-    """Process-pool entry point for one mapping trial."""
-    solver, instance, trial_seed, solver_kwargs = job
-    return solver(instance, seed=trial_seed, **solver_kwargs)
-
-
 def best_of_k_mapping(instance: QAPInstance, k: int = 5, seed: int = 0,
                       solver: Callable[..., TabuResult] = tabu_search,
-                      jobs: int = 1, **solver_kwargs) -> TabuResult:
+                      **solver_kwargs) -> TabuResult:
     """Run the solver ``k`` times with different seeds; keep the best.
 
-    Trial ``t`` is seeded ``seed + 1000 * t``.  Serially, Tabu trials
-    run in lockstep and other solvers one after another; ``jobs > 1``
-    fans the trials out over a process pool, one solver call each.
-    Every path seeds the trials alike and the best-result selection
-    scans them in order with a strict ``<``, so the chosen mapping is
-    bit-identical for every ``jobs`` value -- parallelism changes wall
-    time only.
+    Trial ``t`` is seeded ``seed + 1000 * t``.  Tabu trials run in
+    lockstep, other solvers one after another; on a cost tie the
+    earliest trial wins.
     """
+    if k < 1:
+        raise ValueError(f"mapping needs at least 1 trial, got {k}")
     trial_seeds = [seed + 1000 * trial for trial in range(k)]
-    if jobs > 1 and k > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, k)) as pool:
-            results = list(pool.map(
-                _solve_trial,
-                [(solver, instance, s, solver_kwargs) for s in trial_seeds],
-            ))
-    elif solver is tabu_search:
+    if solver is tabu_search:
         results = tabu_trials(instance, trial_seeds, **solver_kwargs)
     else:
         results = [solver(instance, seed=s, **solver_kwargs)
                    for s in trial_seeds]
-    best: TabuResult | None = None
-    for result in results:
-        if best is None or result.cost < best.cost:
-            best = result
-    assert best is not None
-    return best
+    return min(results, key=lambda result: result.cost)

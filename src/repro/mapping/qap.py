@@ -13,21 +13,18 @@ formulation works *better* for 2-local Hamiltonian simulation than for
 generic circuits because any NN operator can be scheduled in any map,
 making gate order irrelevant to the objective.
 
-Two neighbourhood kernels sit on top of the instance.  The Tabu search
-(:mod:`repro.mapping.tabu`) keeps the *gain matrix*
-``G[i, p] = sum_k F[i, k] * D[p, a_k]`` -- the flow-weighted distance
-from physical location ``p`` to logical ``i``'s partners -- and reads
-every swap and relocation delta off it.  GRASP keeps the Taillard
-swap-delta table (the paper's refs [52, 53]):
-:meth:`QAPInstance.swap_delta_matrix` scores every swap move at once and
-:meth:`QAPInstance.update_deltas_after_swap` refreshes it in O(n^2)
-after a move.  The gain-matrix closed forms rely on the preconditions
+One neighbourhood kernel sits on top of the instance: the *gain
+matrix* ``G[i, p] = sum_k F[i, k] * D[p, a_k]`` of
+:mod:`repro.mapping.tabu` -- the flow-weighted distance from physical
+location ``p`` to logical ``i``'s partners -- from which both Tabu
+search and GRASP's local search read every swap and relocation delta.
+Its closed forms rely on the preconditions
 :meth:`QAPInstance.__post_init__` enforces: a symmetric flow with a zero
 diagonal (no self-interaction) and a symmetric distance with a zero
 diagonal.  Because ``flow`` (interaction counts) and ``distance`` (hop
 counts) are integer-valued, every vectorized float64 sum is a sum of
 exactly representable integers and therefore *exact*, independent of
-summation order -- the kernels return bit-identical values to the
+summation order -- the kernel returns bit-identical values to the
 retained scalar references (:meth:`QAPInstance.swap_delta_reference`,
 :meth:`QAPInstance.relocate_delta_reference`).
 """
@@ -105,8 +102,9 @@ class QAPInstance:
 
     def swap_delta_reference(self, assignment: np.ndarray,
                              i: int, j: int) -> float:
-        """Scalar reference for :meth:`swap_delta` (kept for equivalence
-        tests and the CI perf smoke; not used on the compile path)."""
+        """Scalar reference for :meth:`swap_delta` and the gain-matrix
+        kernel (kept for equivalence tests; not used on the compile
+        path)."""
         a, b = assignment[i], assignment[j]
         if a == b:
             return 0.0
@@ -135,68 +133,20 @@ class QAPInstance:
             )
         return float(delta)
 
-    # ------------------------------------------------------------------
-    # Full-neighbourhood kernels
-    # ------------------------------------------------------------------
-    def swap_delta_matrix(self, assignment: np.ndarray) -> np.ndarray:
-        """All swap-move deltas at once: ``delta[i, j]`` is the cost
-        change of swapping logical ``i`` and ``j``.
 
-        Symmetric with a zero diagonal; one matmul instead of O(n^2)
-        scalar probes.  Exact for integer-valued instances.
-        """
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        cross = flow @ sub.T                    # cross[i, j] = sum_k F[i,k] S[j,k]
-        diag_sum = np.einsum("ik,ik->i", flow, sub)
-        flow_diag = np.diagonal(flow)
-        sub_diag = np.diagonal(sub)
-        # full-sum expansion minus the k=i and k=j terms the move excludes
-        k_is_i = (flow_diag[:, None] - flow.T) * (sub.T - sub_diag[:, None])
-        k_is_j = (flow - flow_diag[None, :]) * (sub_diag[None, :] - sub)
-        delta = 2.0 * (cross + cross.T
-                       - diag_sum[:, None] - diag_sum[None, :]
-                       - k_is_i - k_is_j)
-        np.fill_diagonal(delta, 0.0)
-        return delta
-
-    def swap_delta_row(self, assignment: np.ndarray, i: int) -> np.ndarray:
-        """One row of :meth:`swap_delta_matrix`: deltas of swapping ``i``
-        with every other logical qubit, under ``assignment``."""
-        flow = self.flow
-        sub = self.distance[np.ix_(assignment, assignment)]
-        terms = (flow[i][None, :] - flow) * (sub - sub[i][None, :])
-        row = 2.0 * (terms.sum(axis=1) - terms[:, i] - np.diagonal(terms))
-        row[i] = 0.0
-        return row
-
-    # ------------------------------------------------------------------
-    # Taillard-style O(n^2) incremental updates
-    # ------------------------------------------------------------------
-    def update_deltas_after_swap(self, delta: np.ndarray,
-                                 assignment: np.ndarray,
-                                 i: int, j: int) -> np.ndarray:
-        """Refresh a delta table in place after swapping ``i`` and ``j``.
-
-        ``assignment`` is the assignment *after* the swap.  Entries not
-        involving ``i``/``j`` pick up only the two changed summation
-        terms (Taillard's update); rows/columns ``i`` and ``j`` are
-        recomputed.  O(n^2) total, and exact for integer-valued
-        instances -- the updated table equals a fresh
-        :meth:`swap_delta_matrix` bit for bit.
-        """
-        flow_diff = self.flow[:, i] - self.flow[:, j]
-        # pre-swap location of i is assignment[j] and vice versa; rows
-        # i/j of these vectors are wrong but overwritten just below
-        dist_diff = (self.distance[assignment[i], assignment]
-                     - self.distance[assignment[j], assignment])
-        delta -= 2.0 * np.subtract.outer(flow_diff, flow_diff) \
-            * np.subtract.outer(dist_diff, dist_diff)
-        for moved in (i, j):
-            row = self.swap_delta_row(assignment, moved)
-            delta[moved, :] = row
-            delta[:, moved] = row
-        return delta
+def validated_assignment(assignment, n_logical: int,
+                         n_physical: int) -> np.ndarray:
+    """``assignment`` as an array, checked to place ``n_logical`` logical
+    qubits on distinct physical qubits in ``[0, n_physical)``."""
+    placed = np.asarray(assignment)
+    if (placed.shape != (n_logical,) or placed.dtype.kind not in "iu"
+            or placed.min() < 0 or placed.max() >= n_physical
+            or len(np.unique(placed)) != n_logical):
+        raise ValueError(
+            f"initial assignment must place {n_logical} logical qubits on "
+            f"distinct physical qubits 0..{n_physical - 1}, got "
+            f"{placed.tolist()}")
+    return placed
 
 
 def qap_from_problem(step: TrotterStep, device: Device) -> QAPInstance:

@@ -21,7 +21,9 @@ and swapping ``i`` and ``j`` by ``2 (H + H^T + 2 F * D[a][:, a])[i, j]``
 with ``H[i, j] = G[i, a_j] - G[i, a_i]``.  A move changes ``G`` by one
 rank-1 term, ``(F[:, i] - F[:, j]) (x) (D[:, new_i] - D[:, old_i])``
 (``F[:, j]`` dropped for a relocation), so an iteration costs a few
-O(n m) array operations and no table is ever rebuilt.
+O(n m) array operations and no table is ever rebuilt.  GRASP's local
+search (:mod:`repro.mapping.grasp`) reads its swap deltas off the same
+kernel.
 
 :func:`tabu_trials` runs several trials in *lockstep*: their gain
 matrices are stacked into one ``(k, n, m)`` tensor, so every numpy call
@@ -43,7 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.mapping.qap import QAPInstance
+from repro.mapping.qap import QAPInstance, validated_assignment
 
 
 @dataclass
@@ -154,10 +156,7 @@ def tabu_trials(instance: QAPInstance, seeds: Sequence[int],
     if initial is None:
         current = np.array([rng.permutation(m)[:n] for rng in rngs])
     else:
-        start = np.array(initial, dtype=int)
-        if len(set(start.tolist())) != n:
-            raise ValueError("initial assignment must be injective")
-        current = np.tile(start, (k, 1))
+        current = np.tile(validated_assignment(initial, n, m), (k, 1))
     cost = np.array([instance.cost(row) for row in current])
     best = current.copy()
     best_cost = cost.copy()

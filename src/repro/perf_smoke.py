@@ -147,23 +147,6 @@ def _random_placement(n_logical: int, n_physical: int) -> np.ndarray:
     return np.array(rng.permutation(n_physical)[:n_logical])
 
 
-def _mapping_inputs():
-    instance = qap_from_problem(_heisenberg_step(16), sycamore())
-    return instance, _random_placement(instance.n_logical,
-                                       instance.n_physical)
-
-
-def _swap_deltas_reference(inputs) -> np.ndarray:
-    """The swap neighbourhood as O(n^2) scalar probes."""
-    instance, assignment = inputs
-    n = instance.n_logical
-    deltas = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            deltas[i, j] = instance.swap_delta_reference(assignment, i, j)
-    return deltas
-
-
 def _tabu_inputs():
     """The n=34 sycamore instance and best-of-5's trial seeds."""
     return (qap_from_problem(_heisenberg_step(34), sycamore()),
@@ -309,13 +292,6 @@ def _same_metrics(responses, results) -> bool:
 
 
 CASES: tuple[Case, ...] = (
-    Case("mapping", "n=16 Heisenberg/sycamore swap neighbourhood, "
-                    "delta matrix vs scalar probes",
-         build=_mapping_inputs,
-         fast=lambda inputs: inputs[0].swap_delta_matrix(inputs[1]),
-         reference=_swap_deltas_reference,
-         identical=lambda fast, ref: np.array_equal(np.triu(fast, k=1), ref),
-         floor=3.0),
     Case("tabu", "n=34 Heisenberg/sycamore best-of-5 Tabu, lockstep "
                  "trials vs five 1-trial searches",
          build=_tabu_inputs,

@@ -147,6 +147,25 @@ class TestDigestSnapshot:
         assert fingerprint(build_symbolic_step("NNN_Ising", 8, 0)) == \
             "e5a82738f292e524"
 
+    def test_default_pass_fingerprints(self, compiled):
+        """Every default 2QAN pass keys the cache as it did before the
+        mapping worker knob was removed: no stored key may move."""
+        from repro.core.registry import get_compiler
+
+        _, device, _ = compiled
+        pipeline = get_compiler("2qan", device=device,
+                                gateset="CNOT").build_pipeline()
+        assert {stage.name: fingerprint_pass(stage)
+                for stage in pipeline.passes} == {
+            "unify": "25aeb3529c8601ee",
+            "mapping": "246cd526ea5b52fe",
+            "routing": "830de24939a33c99",
+            "scheduling": "85f767890c32c374",
+            "binding": "b386f4938014d9e8",
+            "decomposition": "83ff2f0669ec04ee",
+        }
+        assert fingerprint_pass(MapPass(trials=1)) == "5ba024945e7b6ebb"
+
     def test_artifacts(self, compiled):
         _, _, result = compiled
         assert fingerprint(result.circuit) == "3a64705a59de39bc"
@@ -167,12 +186,6 @@ class TestPassFingerprints:
 
     def test_class_matters(self):
         assert fingerprint_pass(UnifyPass()) != fingerprint_pass(RoutePass())
-
-    def test_execution_knobs_excluded(self):
-        """jobs cannot change MapPass output, so it must not fragment
-        the cache."""
-        assert fingerprint_pass(MapPass(jobs=1)) == \
-            fingerprint_pass(MapPass(jobs=8))
 
     def test_non_dataclass_pass(self):
         class Custom:

@@ -77,11 +77,6 @@ class TestContextKey:
         cz = _context(step, device, gateset="CZ")
         assert context_key(Opaque(), cnot) != context_key(Opaque(), cz)
 
-    def test_mapping_jobs_do_not_change_key(self, step, device):
-        ctx = _context(step, device)
-        ctx.working = ctx.step
-        assert context_key(MapPass(jobs=1), ctx) == \
-            context_key(MapPass(jobs=4), ctx)
 
 
 class TestCachedPipeline:

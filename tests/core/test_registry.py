@@ -1,5 +1,6 @@
 """Tests for the compiler registry (repro.core.registry)."""
 
+import numpy as np
 import pytest
 
 from repro.core.decompose import DecomposeCache
@@ -11,6 +12,7 @@ from repro.core.registry import (
     register_compiler,
     resolve_spec,
 )
+from repro.devices.library import montreal
 from repro.hamiltonians.models import nnn_ising
 from repro.hamiltonians.trotter import trotter_step
 
@@ -83,3 +85,35 @@ class TestConstruction:
         compiler = get_compiler("2qan_nodress", device=aspen_device,
                                 gateset="CNOT")
         assert compiler.dress is False
+
+
+#: A duplicated physical qubit, one off the device, one qubit short.
+BAD_INITIALS = ([0, 0, 1, 2], [0, 1, 2, 99], [0, 1, 2])
+
+
+class TestInitialAssignment:
+    """A caller's fixed ``initial`` map is checked where it is consumed:
+    every compiler with a placement stage rejects a malformed one with
+    one ``ValueError`` instead of compiling on a broken map or failing
+    deep inside routing."""
+
+    @pytest.mark.parametrize("initial", BAD_INITIALS, ids=str)
+    @pytest.mark.parametrize("name", [spec.name for spec in compiler_specs()
+                                      if spec.requires_device])
+    def test_placing_compilers_reject(self, name, initial):
+        step = trotter_step(nnn_ising(4, seed=0))
+        compiler = get_compiler(name, device=montreal(), gateset="CNOT",
+                                seed=1)
+        with pytest.raises(ValueError, match="initial assignment"):
+            compiler.compile(step, initial=np.array(initial))
+
+    @pytest.mark.parametrize("initial", BAD_INITIALS, ids=str)
+    @pytest.mark.parametrize("name", [spec.name for spec in compiler_specs()
+                                      if not spec.requires_device])
+    def test_device_free_compilers_ignore_it(self, name, initial):
+        """NoMap and Paulihedral place nothing, so ``initial`` is unused."""
+        step = trotter_step(nnn_ising(4, seed=0))
+        compiler = get_compiler(name, device=montreal(), gateset="CNOT",
+                                seed=1)
+        assert compiler.compile(step, initial=np.array(initial)).metrics == \
+            compiler.compile(step).metrics

@@ -140,24 +140,6 @@ class TestReachability:
         assert any("Knob" in f.message and "pass config" in f.message
                    for f in findings)
 
-    def test_fingerprint_ignore_exempts_config_fields(self, lint_files):
-        files = fixture_project()
-        files["src/repro/baselines/demo.py"] = (
-            "from dataclasses import dataclass\n"
-            "from typing import ClassVar\n\n\n"
-            "class Knob:\n    pass\n\n\n"
-            "@dataclass(frozen=True)\n"
-            "class DemoPass:\n"
-            "    knob: Knob = None\n"
-            "    reads: ClassVar[tuple[str, ...]] = ('step',)\n"
-            "    writes: ClassVar[tuple[str, ...]] = ('working',)\n"
-            "    fingerprint_ignore: ClassVar[tuple[str, ...]] = ('knob',)\n\n"
-            "    def run(self, ctx):\n"
-            "        ctx.working = ctx.step\n"
-            "        return ctx\n"
-        )
-        assert lint_files(files, "RPR002") == []
-
     def test_fixture_without_cache_layer_is_skipped(self, lint_files):
         files = {"src/repro/solo.py": "class Anything:\n    pass\n"}
         assert lint_files(files, "RPR002") == []

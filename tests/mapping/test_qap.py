@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro.devices import grid, line, montreal
 from repro.hamiltonians.models import nnn_heisenberg, nnn_ising
 from repro.hamiltonians.trotter import trotter_step
-from repro.mapping.qap import QAPInstance, qap_cost, qap_from_problem
+from repro.mapping.qap import (
+    QAPInstance,
+    qap_cost,
+    qap_from_problem,
+    validated_assignment,
+)
 
 
 def small_instance():
@@ -100,3 +105,22 @@ class TestFromProblem:
         step = trotter_step(nnn_ising(4, seed=0))
         cost = qap_cost(step, line(4), np.arange(4))
         assert cost > 0
+
+
+class TestValidatedAssignment:
+    def test_valid_assignment_returned(self):
+        placed = validated_assignment([4, 0, 2], 3, 5)
+        assert placed.tolist() == [4, 0, 2]
+
+    @pytest.mark.parametrize("assignment", [
+        [0, 0, 1],            # two logical qubits on one physical qubit
+        [0, 1, 5],            # off the device
+        [-1, 0, 1],           # negative index
+        [0, 1],               # too short
+        [0, 1, 2, 3],         # too long
+        [[0, 1, 2]],          # wrong shape
+        [0.0, 1.0, 2.0],      # not integers
+    ])
+    def test_malformed_rejected(self, assignment):
+        with pytest.raises(ValueError, match="initial assignment"):
+            validated_assignment(assignment, 3, 5)

@@ -1,12 +1,15 @@
-"""Tests for the Tabu-search and annealing QAP solvers and placements."""
+"""Tests for the Tabu-search, annealing and GRASP QAP solvers and
+placements."""
 
 import numpy as np
 import pytest
 
-from repro.devices import grid, line, montreal
+from repro.analysis.harness import build_step
+from repro.devices import grid, line, montreal, sycamore
 from repro.hamiltonians.models import nnn_heisenberg, nnn_ising
 from repro.hamiltonians.trotter import trotter_step
 from repro.mapping.annealing import simulated_annealing
+from repro.mapping.grasp import grasp_search
 from repro.mapping.placement import (
     best_of_k_mapping,
     identity_mapping,
@@ -143,6 +146,11 @@ class TestPlacements:
         best = best_of_k_mapping(montreal_instance, k=5, seed=0)
         assert best.cost <= single.cost
 
+    @pytest.mark.parametrize("k", [0, -2])
+    def test_best_of_k_needs_a_trial(self, montreal_instance, k):
+        with pytest.raises(ValueError, match="at least 1 trial"):
+            best_of_k_mapping(montreal_instance, k=k)
+
 
 class TestPlacementEdgeCases:
     def test_line_placement_on_star_device(self):
@@ -158,9 +166,28 @@ class TestPlacementEdgeCases:
         assert len(placement) == 3
 
     def test_best_of_k_with_alternate_solver(self):
-        from repro.mapping.grasp import grasp_search
         step = trotter_step(nnn_ising(6, seed=0))
         instance = qap_from_problem(step, montreal())
         result = best_of_k_mapping(instance, k=2, seed=0,
                                    solver=grasp_search, iterations=3)
         assert len(set(result.assignment.tolist())) == 6
+
+
+class TestGraspPin:
+    """Full GRASP runs (randomised construction plus the gain-matrix
+    local search) replay assignments recorded before the local search
+    moved onto the gain matrix."""
+
+    @pytest.mark.parametrize("problem, n, device, cost, assignment", [
+        ("NNN_Heisenberg", 16, montreal, 270.0,
+         [24, 25, 22, 19, 20, 16, 14, 11, 9, 8, 5, 3, 2, 1, 4, 7]),
+        ("QAOA-REG-3", 34, sycamore, 204.0,
+         [3, 1, 12, 10, 29, 21, 4, 51, 47, 22, 38, 35, 52, 24, 28, 11, 20,
+          49, 39, 50, 42, 16, 41, 32, 15, 31, 5, 40, 30, 14, 18, 13, 19, 0]),
+    ])
+    def test_replays_recorded_search(self, problem, n, device, cost,
+                                     assignment):
+        instance = qap_from_problem(build_step(problem, n, 0), device())
+        result = grasp_search(instance, seed=3, iterations=5)
+        assert result.assignment.tolist() == assignment
+        assert (result.cost, result.iterations) == (cost, 5)

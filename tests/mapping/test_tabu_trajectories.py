@@ -7,8 +7,7 @@ each best-of-5 trial, trial ``t`` seeded ``SEED + 1000 * t`` exactly as
 :func:`~repro.mapping.placement.best_of_k_mapping` seeds it.  It was
 recorded with one 1-trial search per seed, before the lockstep kernel
 existed.  The lockstep kernel, 1-trial ``tabu_search`` and
-``best_of_k_mapping`` (serial and process-pool) must reproduce it bit
-for bit: the instances are integer-valued, so no entry may drift.
+``best_of_k_mapping`` must reproduce it bit for bit: the instances are integer-valued, so no entry may drift.
 
 Re-record (only when a trajectory change is intended) with::
 
@@ -88,12 +87,10 @@ def test_one_trial_search_replays_pin(cell):
 
 
 @pytest.mark.parametrize("cell", CELL_NAMES)
-@pytest.mark.parametrize("jobs", [1, 2])
-def test_best_of_k_picks_pinned_winner(cell, jobs):
+def test_best_of_k_picks_pinned_winner(cell):
     pinned = _pinned()[cell]
     winner = min(pinned, key=lambda trial: trial["cost"])  # first minimum
-    result = best_of_k_mapping(instance_for(cell), k=TRIALS, seed=SEED,
-                               jobs=jobs)
+    result = best_of_k_mapping(instance_for(cell), k=TRIALS, seed=SEED)
     assert record(result) == winner
 
 

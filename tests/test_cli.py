@@ -483,6 +483,18 @@ class TestSizesBelowTwo:
         assert "at least 2 qubits" in capsys.readouterr().err
 
 
+class TestMappingTrialsBelowOne:
+    @pytest.mark.parametrize("trials", ["0", "-2"])
+    def test_cli_exits_one(self, trials, capsys):
+        assert main(["--benchmark", "NNN_Ising", "--qubits", "6",
+                     "--device", "montreal", "--mapping-trials",
+                     trials]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "at least 1 trial" in err
+        assert "Traceback" not in err
+
+
 class TestFrontEndsAgree:
     """'repro compile --json' and the service resolve the same target
     and report the same metrics."""
