@@ -37,11 +37,25 @@ access: loading a field outside ``reads`` raises
 :class:`UndeclaredContextReadError` (a field the pass only writes may
 be loaded once the pass has assigned it), and assigning a field outside
 ``writes`` (default: every artifact field) raises ``ValueError``.  The
-fields in ``writes`` are then snapshotted into the store.  On a hit the
-snapshot is applied and the pass body never executes, so no view is
-built.  Either way ``ctx.timings`` gets its usual per-pass entry (the
-lookup time, on a hit) and ``ctx.cache_events`` records ``"hit"`` or
-``"miss"`` per pass.
+fields in ``writes`` are then snapshotted into the store as one entry,
+``{field name: pickled bytes}`` (``None`` for a field left ``None``).
+
+On a hit the pass body never executes, so no view is built, and
+nothing is unpickled: each stored field is bound to the context as a
+:class:`~repro.core.pipeline.Deferred` holding its bytes, identified by
+its derivation id like any other artifact.  A ``None`` field is bound
+as ``None``, so an ``is None`` test on the context never needs a load.  A field is unpickled at its
+first read -- by a later pass that misses, by a content hash
+(:func:`context_key`), or by a caller reading the
+:class:`~repro.core.pipeline.CompilationResult` attribute -- so a fully
+warm compile whose caller reads only ``metrics`` unpickles only that.
+Every read unpickles its own copy, so a served value never aliases the
+store or another reader's value.  Fields are pickled one by one, so
+objects two fields of one pass shared (a baseline's ``app_circuit is
+circuit``) come back as equal, separate objects.  Either way
+``ctx.timings`` gets its usual per-pass entry (the lookup time, on a
+hit) and ``ctx.cache_events`` records ``"hit"`` or ``"miss"`` per
+pass.
 
 Contract: passes write artifacts by *assignment* (``ctx.working = ...``)
 and never mutate an upstream artifact in place -- the view sees
@@ -56,12 +70,15 @@ pin that property for every registry compiler.
 
 from __future__ import annotations
 
+import pickle
+
 from repro.analysis.harness import ProblemRecipe
 from repro.cache.fingerprint import fingerprint, fingerprint_pass
 from repro.cache.store import ArtifactCache
 from repro.core.pipeline import (
     CompilationContext,
     CompilationResult,
+    Deferred,
     PassPipeline,
     run_pipeline,
 )
@@ -108,8 +125,9 @@ class _ScopedContext:
     already assigned in this run; stores outside ``writes`` raise
     ``ValueError`` before the context changes.  Loads of anything else
     (infrastructure fields, methods, private attributes) forward to the
-    wrapped context.  A deferred step is built at its first load, so
-    the pass always sees a real step.
+    wrapped context.  A deferred field (a recipe's step, a cache-hit
+    artifact) is loaded at its first load, so the pass always sees a
+    real value.
     """
 
     __slots__ = ("_ctx", "_reads", "_writes", "_assigned", "_pass_name")
@@ -134,11 +152,12 @@ class _ScopedContext:
 
     def require(self, attribute: str):
         self._audit(attribute)
-        return _materialized(self._ctx, self._ctx.require(attribute))
+        return _materialized(self._ctx, attribute,
+                             self._ctx.require(attribute))
 
     def __getattr__(self, name: str):
         self._audit(name)
-        return _materialized(self._ctx, getattr(self._ctx, name))
+        return _materialized(self._ctx, name, getattr(self._ctx, name))
 
     def __setattr__(self, name: str, value) -> None:
         if name not in self._writes:
@@ -172,52 +191,59 @@ def _field_ids(ctx) -> dict:
     return field_ids
 
 
-class _DeferredStep:
-    """The ``step`` input of a recipe compilation, not yet needed.
-
-    Carries the step's content id, so keys never need the step itself;
-    ``build`` makes the step the first time a missing pass loads it.
-    Private to :func:`compile_cached`: passes only ever see the built
-    step, and no result field holds this object.
-    """
-
-    __slots__ = ("build", "field_id")
-
-    def __init__(self, build, field_id: str) -> None:
-        self.build = build
-        self.field_id = field_id
-
-
-def _materialized(ctx, value):
-    """``value`` as a pass may see it: a deferred step is built, bound
-    to ``ctx.step`` and recorded under its content id."""
-    if not isinstance(value, _DeferredStep):
+def _materialized(ctx, name: str, value):
+    """``value`` as a pass may see it: a deferred field is loaded, bound
+    to ``ctx.<name>`` and keeps the id recorded for the deferred value."""
+    if not isinstance(value, Deferred):
         return value
-    step = value.build()
-    ctx.step = step
-    _field_ids(ctx)["step"] = (step, value.field_id)
-    return step
+    loaded = value.load()
+    setattr(ctx, name, loaded)
+    field_ids = _field_ids(ctx)
+    recorded = field_ids.get(name)
+    if recorded is not None and recorded[0] is value:
+        field_ids[name] = (loaded, recorded[1])
+    return loaded
 
 
 def _deferred_step(recipe: ProblemRecipe, cache: ArtifactCache,
-                   ) -> _DeferredStep:
+                   ) -> Deferred:
     """``recipe``'s step as a deferred input, through the cache's
     problem index: a hit yields the content id without building the
     step; a miss builds and hashes it once and records the id."""
     index_key = fingerprint("problem", recipe)
     step_id = cache.get_index(index_key)
     if step_id is not None:
-        return _DeferredStep(recipe.build, step_id)
+        return Deferred(recipe.build, step_id)
     step = recipe.build()
     step_id = fingerprint(step)
     cache.put_index(index_key, step_id)
-    return _DeferredStep(lambda: step, step_id)
+    return Deferred(lambda: step, step_id)
 
 
-def _record_derived(ctx, key: str, snapshot: dict) -> None:
+def _content_id(value) -> str:
+    """``value``'s content fingerprint; a deferred value is loaded
+    first unless it carries the fingerprint."""
+    if isinstance(value, Deferred):
+        if value.content_id is not None:
+            return value.content_id
+        value = value.load()
+    return fingerprint(value)
+
+
+def _pickled(value) -> bytes | None:
+    """One snapshot field's bytes (``None`` stays ``None``); a field
+    still deferred is loaded first."""
+    if value is None:
+        return None
+    if isinstance(value, Deferred):
+        value = value.load()
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def _record_derived(ctx, key: str, values: dict) -> None:
     """Identify every field a pass wrote by the key that derived it."""
     field_ids = _field_ids(ctx)
-    for name, value in snapshot.items():
+    for name, value in values.items():
         field_ids[name] = (value, fingerprint("derived", key, name))
 
 
@@ -240,10 +266,8 @@ def _key(stage, ctx, field_ids: dict) -> str:
         recorded = field_ids.get(name)
         if recorded is not None and recorded[0] is value:
             field_id = recorded[1]
-        elif isinstance(value, _DeferredStep):
-            field_id = value.field_id
         else:
-            field_id = fingerprint(value)
+            field_id = _content_id(value)
             field_ids[name] = (value, field_id)
         parts.append(name)
         parts.append(field_id)
@@ -252,8 +276,9 @@ def _key(stage, ctx, field_ids: dict) -> str:
 
 def context_key(stage, ctx) -> str:
     """The content key of running ``stage`` on ``ctx`` now: every read
-    field identified by its content fingerprint.  ``ctx`` is any object
-    with the read attributes."""
+    field identified by its content fingerprint (a deferred field is
+    loaded first unless it carries its fingerprint).  ``ctx`` is any
+    object with the read attributes."""
     return _key(stage, ctx, {})
 
 
@@ -272,11 +297,13 @@ class CachedPass:
 
     def run(self, ctx: CompilationContext) -> CompilationContext:
         key = _key(self.inner, ctx, _field_ids(ctx))
-        snapshot = self.cache.get(key)
-        if snapshot is not None:
-            for field_name, value in snapshot.items():
-                setattr(ctx, field_name, value)
-            _record_derived(ctx, key, snapshot)
+        stored = self.cache.get(key)
+        if stored is not None:
+            values = {name: None if payload is None else Deferred(payload)
+                      for name, payload in stored.items()}
+            for name, value in values.items():
+                setattr(ctx, name, value)
+            _record_derived(ctx, key, values)
             ctx.cache_events[self.name] = "hit"
             self.cache.record_event(self.name, hit=True)
             return ctx
@@ -287,9 +314,10 @@ class CachedPass:
                 f"pass {self.name!r} did not return the context it was "
                 f"given; run(ctx) must return ctx"
             )
-        snapshot = {name: getattr(ctx, name) for name in writes}
-        self.cache.put(key, snapshot)
-        _record_derived(ctx, key, snapshot)
+        written = {name: getattr(ctx, name) for name in writes}
+        self.cache.put(key, {name: _pickled(value)
+                             for name, value in written.items()})
+        _record_derived(ctx, key, written)
         ctx.cache_events[self.name] = "miss"
         self.cache.record_event(self.name, hit=False)
         return ctx
@@ -298,8 +326,13 @@ class CachedPass:
 class CachedPipeline(PassPipeline):
     """A :class:`PassPipeline` whose every stage consults one cache.
 
-    Drop-in: ``CachedPipeline(pipeline, cache).run(ctx)`` produces the
-    same context as ``pipeline.run(ctx)``, with stored stages skipped.
+    ``CachedPipeline(pipeline, cache).run(ctx)`` produces the same
+    context as ``pipeline.run(ctx)``, with stored stages skipped, except
+    that a field a hit bound and no later pass read is still a
+    :class:`~repro.core.pipeline.Deferred` on the returned context.
+    Read such fields through :class:`~repro.core.pipeline.CompilationResult`
+    (``result_from_context``) or call ``.load()``; reading a raw context
+    field after a hit may give a ``Deferred``.
     """
 
     def __init__(self, pipeline: PassPipeline, cache: ArtifactCache) -> None:

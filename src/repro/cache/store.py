@@ -2,7 +2,11 @@
 
 Artifacts are pickled at ``put`` time and un-pickled at ``get`` time in
 *every* layer, so a cached value never aliases live compilation state --
-a caller mutating a returned circuit cannot corrupt the store.
+a caller mutating a returned circuit cannot corrupt the store.  The
+cached pipeline stores each pass snapshot as ``{field name: pickled
+bytes}`` (:mod:`repro.cache.cached`), so a ``get`` unpickles only that
+outer dict of bytes; each field is unpickled at its first read, into a
+fresh object that aliases neither the store nor another read.
 
 * :class:`MemoryArtifactStore` -- in-process LRU layer (bytes-valued).
 * :class:`DiskArtifactStore` -- one file per key under a directory,
@@ -136,8 +140,8 @@ class ArtifactCache:
     session); with a directory, artifacts persist across processes and
     sessions and the memory layer acts as a read cache over the disk
     layer.  ``get``/``put`` move whole artifact *snapshots* (dicts of
-    context fields, see :mod:`repro.cache.cached`) but the store is
-    value-agnostic: anything picklable works.
+    pickled context fields, see :mod:`repro.cache.cached`) but the
+    store is value-agnostic: anything picklable works.
     """
 
     def __init__(self, directory: str | Path | None = None, *,

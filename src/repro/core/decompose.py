@@ -113,7 +113,7 @@ class DecomposeCache:
 def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
                       solve: bool = False, seed: int = 0,
                       cache: DecomposeCache | None = None,
-                      templates=None, engine: str = "auto") -> Circuit:
+                      templates=None) -> Circuit:
     """Lower an application-level circuit to the hardware basis.
 
     ``solve=False`` (the benchmark mode) produces placeholder single-qubit
@@ -128,20 +128,7 @@ def decompose_circuit(circuit: Circuit, gateset: GateSet, *,
     skip both the factor fold and the matrix-bytes keying.  The template
     layer delegates to ``cache`` on miss, so its blocks are bit-identical
     to the plain path.
-
-    ``engine`` selects the lowering walk: ``"auto"`` (default) runs the
-    two-phase batched walk, ``"scalar"`` the per-gate reference.  Both
-    produce bit-identical circuits; counters can differ only in the
-    pathological regime where a single circuit overflows the cache bound
-    mid-walk (the batched walk resolves each unique matrix once, so a
-    key the scalar walk would re-miss after eviction counts as a hit).
     """
-    if engine == "scalar":
-        return decompose_circuit_reference(circuit, gateset, solve=solve,
-                                           seed=seed, cache=cache,
-                                           templates=templates)
-    if engine != "auto":
-        raise ValueError(f"unknown decompose engine {engine!r}")
     if cache is None:
         cache = DecomposeCache()
     if templates is None:

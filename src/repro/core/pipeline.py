@@ -29,6 +29,7 @@ pipelines through :mod:`repro.core.registry`.
 from __future__ import annotations
 
 import math
+import pickle
 import time
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, Protocol, runtime_checkable
@@ -108,6 +109,39 @@ class CompilationContext:
         return value
 
 
+class Deferred:
+    """A context field whose value is not loaded yet.
+
+    The cache layer (:mod:`repro.cache.cached`) binds one in two cases:
+    the ``step`` of a compilation from a problem recipe, whose
+    ``source`` builds the step, and an artifact served by a cache hit,
+    whose ``source`` is the field's pickled bytes.  ``content_id`` is
+    the value's content fingerprint where it is known without loading
+    (the recipe's step); a hit artifact's derivation id is kept in the
+    cache layer's per-compilation memo.
+
+    :meth:`load` of pickled bytes makes a fresh object on every call,
+    so no two readers share one.  A pass never sees a deferred value:
+    the cache layer loads one and binds it to the context when a missing
+    pass reads the field.  A content hash loads a throwaway copy and
+    leaves the field deferred.  :class:`CompilationResult` loads one at
+    the first read of its attribute.  A caller that reads raw context
+    fields after a cache hit may get a deferred value; read the result
+    built by ``result_from_context``, or call :meth:`load`.
+    """
+
+    __slots__ = ("source", "content_id")
+
+    def __init__(self, source, content_id: str | None = None) -> None:
+        self.source = source
+        self.content_id = content_id
+
+    def load(self) -> object:
+        source = self.source
+        return (pickle.loads(source) if isinstance(source, bytes)
+                else source())
+
+
 @runtime_checkable
 class Pass(Protocol):
     """One pipeline stage: consume a context, return it enriched.
@@ -184,6 +218,11 @@ class CompilationResult:
     produce stay at their defaults (``routed``/``scheduled`` are
     ``None`` for baselines, ``qap_cost`` is NaN where no QAP instance
     was solved).  ``timings`` holds one entry per executed pass.
+
+    A result built from a context with cache-hit fields holds them as
+    :class:`Deferred` values and loads each at the first read of its
+    attribute, so a caller reading only ``metrics`` never unpickles the
+    circuits.  Every read, comparison, copy and pickle sees real values.
     """
 
     circuit: Circuit                    # hardware-basis circuit
@@ -198,6 +237,16 @@ class CompilationResult:
     n_dressed: int = 0
     initial_map: QubitMap | None = None
     final_map: QubitMap | None = None
+
+    def __getattribute__(self, name: str):
+        value = object.__getattribute__(self, name)
+        if type(value) is Deferred:
+            value = value.load()
+            object.__setattr__(self, name, value)
+        return value
+
+    def __getstate__(self) -> dict:
+        return {name: getattr(self, name) for name in vars(self)}
 
     def metric_fields(self) -> dict:
         """The deterministic metrics as a JSON-ready dict.

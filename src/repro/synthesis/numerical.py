@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.quantum.gates import Gate
 from repro.synthesis.weyl import MAGIC
@@ -95,6 +94,8 @@ def solve_sandwich(basis: np.ndarray, count: int, target: np.ndarray,
                    seed: int = 0, restarts: int = 12,
                    tol: float = 1e-10) -> SandwichSolution | None:
     """Find middle locals so the sandwich matches the target's class."""
+    from scipy.optimize import minimize
+
     if count == 0:
         ok = invariant_distance(np.eye(4, dtype=complex), target) < tol
         return SandwichSolution(0, np.zeros(0)) if ok else None

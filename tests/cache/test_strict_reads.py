@@ -20,7 +20,7 @@ from repro.cache.cached import (
 )
 from repro.cache.store import ArtifactCache
 from repro.core.bind import context_parameters
-from repro.core.pipeline import CompilationContext
+from repro.core.pipeline import CompilationContext, Deferred
 from repro.core.registry import compiler_names, get_compiler
 from repro.devices.library import aspen
 from repro.synthesis.gateset import get_gateset
@@ -331,7 +331,9 @@ class TestHitPath:
         monkeypatch.setattr(cached, "_ScopedContext", refuse)
         warm = cached_pass.run(_context())
         assert warm.cache_events == {"honest": "hit"}
-        assert warm.working[1] == 3
+        # the hit binds the stored bytes; nothing is unpickled yet
+        assert isinstance(warm.working, Deferred)
+        assert warm.working.load()[1] == 3
 
 
 class TestWholePipeline:
