@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from pathlib import Path
 
@@ -767,5 +768,22 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def run_script() -> int:
+    """:func:`main` for a process whose stdout may be a closed pipe.
+
+    ``repro compile --json | head -5`` closes the pipe early.  Following
+    the Python docs' SIGPIPE recipe, the process then exits with status
+    1 and no traceback; stdout is pointed at devnull first, so the
+    interpreter's own flush at exit cannot raise a second time.
+    """
+    try:
+        status = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_script())

@@ -42,128 +42,129 @@ from repro.core.pipeline import (
 )
 from repro.core.routing import QubitMap
 from repro.devices.topology import Device
-from repro.hamiltonians.trotter import TrotterStep, TwoQubitOperator
+from repro.hamiltonians.trotter import TrotterStep
 from repro.mapping.placement import line_placement, random_mapping
 from repro.mapping.qap import qap_from_problem, validated_assignment
 from repro.quantum.circuit import Circuit
 from repro.synthesis.gateset import GateSet
 
 
-@dataclass
-class _DagState:
-    """Frontier iteration over the gate dependency DAG."""
+def _dependency_dag(pairs: list[tuple[int, int]],
+                    ) -> tuple[list[list[int]], list[int]]:
+    """Successor lists and in-degrees of the gate dependency DAG.
 
-    operators: list[TwoQubitOperator]
-    predecessors: list[set[int]]
-    successors: list[set[int]]
-    executed: set[int]
-
-    @classmethod
-    def from_operators(cls, operators: list[TwoQubitOperator]) -> "_DagState":
-        last_on_qubit: dict[int, int] = {}
-        predecessors: list[set[int]] = [set() for _ in operators]
-        successors: list[set[int]] = [set() for _ in operators]
-        for index, op in enumerate(operators):
-            for qubit in op.pair:
-                prev = last_on_qubit.get(qubit)
-                if prev is not None:
-                    predecessors[index].add(prev)
-                    successors[prev].add(index)
-                last_on_qubit[qubit] = index
-        return cls(operators, predecessors, successors, set())
-
-    def frontier(self) -> list[int]:
-        return [
-            i for i in range(len(self.operators))
-            if i not in self.executed and not (self.predecessors[i] - self.executed)
-        ]
-
-    def lookahead(self, frontier: list[int], window: int) -> list[int]:
-        """The next ``window`` gates beyond the frontier, program order."""
-        found: list[int] = []
-        frontier_set = set(frontier)
-        for i in range(len(self.operators)):
-            if i in self.executed or i in frontier_set:
-                continue
-            found.append(i)
-            if len(found) >= window:
-                break
-        return found
+    Gate ``i`` waits on the previous gate of each of its qubits (one
+    edge when both qubits last met in the same gate).
+    """
+    last_on_qubit: dict[int, int] = {}
+    successors: list[list[int]] = [[] for _ in pairs]
+    indegree = [0] * len(pairs)
+    for index, (u, v) in enumerate(pairs):
+        for prev in {last_on_qubit.get(u), last_on_qubit.get(v)} - {None}:
+            successors[prev].append(index)
+            indegree[index] += 1
+        last_on_qubit[u] = last_on_qubit[v] = index
+    return successors, indegree
 
 
 def _route_order_respecting(step: TrotterStep, device: Device,
                             initial: np.ndarray, *, lookahead: int,
                             stochastic: bool, seed: int,
                             ) -> tuple[Circuit, int, QubitMap, QubitMap]:
-    """Shared frontier-routing loop; returns the application circuit."""
+    """Shared frontier-routing loop; returns the application circuit.
+
+    The frontier (gates whose predecessors all ran, program order) is
+    kept by in-degree counters: only successors of executed gates can
+    join it.  With no frontier gate on an edge, every SWAP candidate --
+    the device edges touching a frontier qubit, sorted -- is scored in
+    one gather: ``(candidates x gates)`` post-swap distances over the
+    frontier and the next ``lookahead`` waiting gates.  Per-gate
+    distances are accumulated left to right in frontier (then program)
+    order, the order a Python ``sum`` adds them, so non-integer
+    ``edge_weights`` give the same float scores and tie-breaks as a
+    per-candidate loop.
+    """
     rng = np.random.default_rng(seed)
     qmap = QubitMap.from_assignment(initial)
     initial_map = qmap.copy()
-    dag = _DagState.from_operators(step.two_qubit_ops)
+    ops = step.two_qubit_ops
+    pairs = [op.pair for op in ops]
+    successors, indegree = _dependency_dag(pairs)
+    logical_pairs = np.array(pairs, dtype=np.intp).reshape(len(ops), 2)
     circuit = Circuit(device.n_qubits)
     dist = device.distance
+    adjacent = device.adjacency_matrix
+    incidence = device.edge_incidence
+    # relabel[e, p]: where the qubit on p sits after SWAP e
+    edge_ends = np.array(device.edges, dtype=np.intp).reshape(-1, 2)
+    relabel = np.tile(np.arange(device.n_qubits), (len(edge_ends), 1))
+    rows = np.arange(len(edge_ends))
+    relabel[rows, edge_ends[:, 0]] = edge_ends[:, 1]
+    relabel[rows, edge_ends[:, 1]] = edge_ends[:, 0]
+    l2p = np.array(initial, dtype=np.intp)
+    frontier = [i for i, degree in enumerate(indegree) if not degree]
+    # gates neither executed nor in the frontier: the lookahead pool
+    waiting = np.ones(len(ops), dtype=bool)
+    waiting[frontier] = False
     n_swaps = 0
-    last_swap: tuple[int, int] | None = None
+    last_swap: int | None = None
     guard = 0
-    limit = 200 * (len(step.two_qubit_ops) + 1) * (device.diameter + 1)
+    limit = 200 * (len(ops) + 1) * (device.diameter + 1)
 
-    def gate_distance(index: int, mapping: QubitMap) -> float:
-        u, v = dag.operators[index].pair
-        return float(dist[mapping.physical(u), mapping.physical(v)])
-
-    while True:
+    while frontier:
         guard += 1
         if guard > limit:
             raise RuntimeError("order-respecting router failed to converge")
-        frontier = dag.frontier()
-        if not frontier:
-            break
-        ready = [
-            i for i in frontier
-            if device.are_neighbors(
-                qmap.physical(dag.operators[i].pair[0]),
-                qmap.physical(dag.operators[i].pair[1]),
-            )
-        ]
-        if ready:
-            for index in ready:
-                op = dag.operators[index]
-                u, v = op.pair
-                pu, pv = qmap.physical(u), qmap.physical(v)
-                circuit.append(app_2q_gate(op, pu, pv))
-                dag.executed.add(index)
+        phys = l2p[logical_pairs[frontier]]
+        ready = adjacent[phys[:, 0], phys[:, 1]]
+        if ready.any():
+            blocked, joined = [], []
+            for index, is_ready, (pu, pv) in zip(frontier, ready.tolist(),
+                                                  phys.tolist()):
+                if not is_ready:
+                    blocked.append(index)
+                    continue
+                circuit.append(app_2q_gate(ops[index], pu, pv))
+                for succ in successors[index]:
+                    indegree[succ] -= 1
+                    if not indegree[succ]:
+                        joined.append(succ)
+            waiting[joined] = False
+            frontier = sorted(blocked + joined)
             last_swap = None
             continue
         # No executable gate: insert a SWAP chosen by the heuristic.
-        candidates: set[tuple[int, int]] = set()
-        for index in frontier:
-            for logical in dag.operators[index].pair:
-                physical = qmap.physical(logical)
-                for neighbour in device.neighbors(physical):
-                    candidates.add((min(physical, neighbour),
-                                    max(physical, neighbour)))
-        if last_swap in candidates and len(candidates) > 1:
-            candidates.discard(last_swap)
-        extended = dag.lookahead(frontier, lookahead) if lookahead else []
-        scored: list[tuple[float, tuple[int, int]]] = []
-        for edge in sorted(candidates):
-            trial = qmap.after_swap(edge)
-            score = sum(gate_distance(i, trial) for i in frontier)
-            if extended:
-                score += 0.5 * sum(
-                    gate_distance(i, trial) for i in extended
-                ) / len(extended) * len(frontier)
-            scored.append((score, edge))
-        best_score = min(s for s, _ in scored)
-        ties = [e for s, e in scored if s <= best_score + 1e-9]
+        touched = incidence[phys.ravel()].any(axis=0)
+        if last_swap is not None and touched[last_swap] \
+                and np.count_nonzero(touched) > 1:
+            touched[last_swap] = False
+        candidates = np.flatnonzero(touched)
+        gates = phys
+        if lookahead:
+            extended = np.flatnonzero(waiting)[:lookahead]
+            gates = np.concatenate((phys, l2p[logical_pairs[extended]]))
+        moved = relabel[candidates]
+        trial = dist[moved[:, gates[:, 0]], moved[:, gates[:, 1]]]
+        n_frontier = len(frontier)
+        n_ahead = len(gates) - n_frontier
+        scores = np.add.accumulate(trial[:, :n_frontier], axis=1)[:, -1]
+        if n_ahead:
+            ahead = np.add.accumulate(trial[:, n_frontier:], axis=1)[:, -1]
+            scores = scores + 0.5 * ahead / n_ahead * n_frontier
+        ties = candidates[scores <= scores.min() + 1e-9]
         if stochastic and len(ties) > 1:
-            edge = ties[int(rng.integers(len(ties)))]
+            chosen = int(ties[int(rng.integers(len(ties)))])
         else:
-            edge = ties[0]
+            chosen = int(ties[0])
+        edge = device.edges[chosen]
         circuit.append(swap_gate(*edge))
         qmap = qmap.after_swap(edge)
+        for physical in edge:
+            logical = qmap.logical(physical)
+            if logical is not None:
+                l2p[logical] = physical
         n_swaps += 1
-        last_swap = edge
+        last_swap = chosen
     return circuit, n_swaps, initial_map, qmap
 
 

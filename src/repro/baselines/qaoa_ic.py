@@ -40,9 +40,13 @@ from repro.devices.topology import Device
 from repro.hamiltonians.trotter import TrotterStep
 from repro.mapping.qap import validated_assignment
 from repro.quantum.circuit import Circuit
-from repro.quantum.gates import Gate
 from repro.quantum.params import probe_binding
 from repro.synthesis.gateset import GateSet
+
+
+#: Row/column order of ``SWAP @ U @ SWAP`` for a 4x4 two-qubit ``U``.
+_SWAPPED = [0, 2, 1, 3]
+_I2 = np.eye(2)
 
 
 def _all_commuting(step: TrotterStep) -> bool:
@@ -54,6 +58,12 @@ def _all_commuting(step: TrotterStep) -> bool:
     sufficient in general, so we check matrix commutators on the joint
     support for overlapping pairs.
 
+    Every pair sharing exactly one qubit is laid out on three qubits
+    ``(x, shared, y)``: the first operator as ``A (x) I``, the second as
+    ``I (x) B``, each flipped by a SWAP conjugation where its shared
+    qubit sits on the other side.  All pairs are stacked and share one
+    batched commutator.
+
     A symbolic step is probed under a generic angle binding: whether two
     exponential families commute does not depend on generic (non-special)
     angle values, so the structural guard needs no real binding.
@@ -61,25 +71,24 @@ def _all_commuting(step: TrotterStep) -> bool:
     if step.is_symbolic:
         step = step.bind(probe_binding(step.parameters()))
     ops = step.two_qubit_ops
-    for i, a in enumerate(ops):
-        for b in ops[i + 1 :]:
-            shared = set(a.pair) & set(b.pair)
-            if not shared or a.pair == b.pair:
-                continue
-            joint = sorted(set(a.pair) | set(b.pair))
-            ua = _embed(a.unitary, a.pair, joint)
-            ub = _embed(b.unitary, b.pair, joint)
-            if np.abs(ua @ ub - ub @ ua).max() > 1e-9:
-                return False
-    return True
-
-
-def _embed(matrix: np.ndarray, pair: tuple[int, int],
-           joint: list[int]) -> np.ndarray:
-    circuit = Circuit(len(joint))
-    local = tuple(joint.index(q) for q in pair)
-    circuit.append(Gate("APP2Q", local, matrix=matrix))
-    return circuit.unitary()
+    pairs = np.array([op.pair for op in ops]).reshape(-1, 2)
+    meets = pairs[:, None, :, None] == pairs[None, :, None, :]
+    # pairs sharing exactly one qubit, first operator earlier
+    first, second = np.nonzero(np.triu(meets.sum(axis=(2, 3)) == 1, k=1))
+    if not len(first):
+        return True
+    unitaries = np.stack([op.unitary for op in ops])
+    # A's shared qubit must be its second factor, B's its first
+    flip_a = meets[first, second, 0, :].any(axis=1)
+    flip_b = meets[first, second, :, 1].any(axis=1)
+    a = unitaries[first]
+    b = unitaries[second]
+    a[flip_a] = a[flip_a][:, _SWAPPED][:, :, _SWAPPED]
+    b[flip_b] = b[flip_b][:, _SWAPPED][:, :, _SWAPPED]
+    count = len(first)
+    a_i = (a[:, :, None, :, None] * _I2[:, None, :]).reshape(count, 8, 8)
+    i_b = (_I2[:, None, :, None] * b[:, None, :, None, :]).reshape(count, 8, 8)
+    return not (np.abs(a_i @ i_b - i_b @ a_i) > 1e-9).any()
 
 
 def _degree_bfs_placement(step: TrotterStep, device: Device,

@@ -37,6 +37,7 @@ class Device:
     _adjacency: list[set[int]] | None = field(default=None, repr=False)
     _integer_distances: bool | None = field(default=None, repr=False)
     _adjacency_matrix: np.ndarray | None = field(default=None, repr=False)
+    _edge_incidence: np.ndarray | None = field(default=None, repr=False)
     # Memoised scaled_integer_distances, boxed in a 1-tuple so ``None``
     # can mean "not computed yet" (the computed value may itself be
     # None) and the cache survives pickling into worker processes.
@@ -100,6 +101,22 @@ class Device:
                 mat[a, b] = mat[b, a] = True
             self._adjacency_matrix = mat
         return self._adjacency_matrix
+
+    @property
+    def edge_incidence(self) -> np.ndarray:
+        """Boolean incidence: ``I[p, e]`` iff qubit ``p`` ends edge ``e``.
+
+        Edge ids index :attr:`edges`, which is sorted ``(min, max)``
+        order, so ``flatnonzero(I[qubits].any(axis=0))`` lists every edge
+        touching ``qubits`` already sorted -- the order-respecting
+        router's SWAP candidates come out of one row gather.
+        """
+        if self._edge_incidence is None:
+            mat = np.zeros((self.n_qubits, len(self.edges)), dtype=bool)
+            for index, (a, b) in enumerate(self.edges):
+                mat[a, index] = mat[b, index] = True
+            self._edge_incidence = mat
+        return self._edge_incidence
 
     @property
     def distance(self) -> np.ndarray:

@@ -1,52 +1,86 @@
 """Tests for the generic (order-respecting) baseline compilers."""
 
+import random
+
 import pytest
 
 from repro.baselines.order_respecting import (
-    _DagState,
+    _dependency_dag,
+    _route_order_respecting,
     compile_qiskit_like,
     compile_tket_like,
 )
+from repro.core.routing import QubitMap
 from repro.core.unify import unify_circuit_operators
 from repro.devices import all_to_all
 from repro.hamiltonians.models import nnn_heisenberg, nnn_ising
 from repro.hamiltonians.trotter import trotter_step
+from repro.mapping.placement import line_placement
 
 
-class TestDag:
-    def test_dependencies_by_shared_qubit(self):
-        step = unify_circuit_operators(trotter_step(nnn_ising(4, seed=0)))
-        dag = _DagState.from_operators(step.two_qubit_ops)
-        # first gate has no predecessors
-        assert not dag.predecessors[0]
-        # gates sharing qubits are ordered
-        for i, preds in enumerate(dag.predecessors):
-            for p in preds:
-                assert p < i
-                assert set(dag.operators[p].pair) & set(
-                    dag.operators[i].pair
-                )
+def _unified_pairs(n):
+    step = unify_circuit_operators(trotter_step(nnn_ising(n, seed=0)))
+    return step.pairs()
 
-    def test_frontier_initial(self):
-        step = unify_circuit_operators(trotter_step(nnn_ising(6, seed=0)))
-        dag = _DagState.from_operators(step.two_qubit_ops)
-        frontier = dag.frontier()
+
+class TestDependencyDag:
+    """The router's in-degree DAG: predecessors first, disjoint frontiers."""
+
+    def test_edges_join_gates_sharing_a_qubit(self):
+        pairs = _unified_pairs(6)
+        successors, indegree = _dependency_dag(pairs)
+        assert indegree[0] == 0
+        incoming = [0] * len(pairs)
+        for prev, succs in enumerate(successors):
+            for succ in succs:
+                assert prev < succ
+                assert set(pairs[prev]) & set(pairs[succ])
+                incoming[succ] += 1
+        assert incoming == indegree
+
+    @pytest.mark.parametrize("order_seed", range(5))
+    def test_any_counter_order_respects_the_program(self, order_seed):
+        """Whatever frontier gate runs next, every earlier gate sharing a
+        qubit has run first and the frontier stays qubit-disjoint."""
+        pairs = _unified_pairs(8)
+        successors, indegree = _dependency_dag(pairs)
+        pick = random.Random(order_seed)
+        frontier = [i for i, degree in enumerate(indegree) if not degree]
         assert 0 in frontier
-        used = set()
-        for i in frontier:
-            pair = set(dag.operators[i].pair)
-            assert not (pair & used) or True  # frontier gates may share? no:
-        # frontier gates must be pairwise independent on qubits
-        qubits = [q for i in frontier for q in dag.operators[i].pair]
-        assert len(qubits) == len(set(qubits))
+        done: set[int] = set()
+        while frontier:
+            qubits = [q for i in frontier for q in pairs[i]]
+            assert len(qubits) == len(set(qubits))
+            index = frontier.pop(pick.randrange(len(frontier)))
+            assert all(earlier in done for earlier in range(index)
+                       if set(pairs[earlier]) & set(pairs[index]))
+            done.add(index)
+            for succ in successors[index]:
+                indegree[succ] -= 1
+                if not indegree[succ]:
+                    frontier.append(succ)
+        assert done == set(range(len(pairs)))
 
-    def test_lookahead_window(self):
-        step = unify_circuit_operators(trotter_step(nnn_ising(8, seed=0)))
-        dag = _DagState.from_operators(step.two_qubit_ops)
-        frontier = dag.frontier()
-        ahead = dag.lookahead(frontier, 3)
-        assert len(ahead) == 3
-        assert not set(ahead) & set(frontier)
+
+@pytest.mark.parametrize("lookahead,stochastic", [(20, False), (0, True)],
+                         ids=["tket", "qiskit"])
+def test_after_swap_once_per_inserted_swap(monkeypatch, montreal_device,
+                                           lookahead, stochastic):
+    """Candidates are scored on arrays; only a chosen SWAP moves the map."""
+    calls = []
+    after_swap = QubitMap.after_swap
+
+    def counting(self, pair):
+        calls.append(pair)
+        return after_swap(self, pair)
+
+    monkeypatch.setattr(QubitMap, "after_swap", counting)
+    step = unify_circuit_operators(trotter_step(nnn_heisenberg(12, seed=0)))
+    _, n_swaps, _, _ = _route_order_respecting(
+        step, montreal_device, line_placement(12, montreal_device),
+        lookahead=lookahead, stochastic=stochastic, seed=1)
+    assert n_swaps > 0
+    assert len(calls) == n_swaps
 
 
 @pytest.mark.parametrize("compiler", [compile_tket_like, compile_qiskit_like],

@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -528,3 +532,29 @@ class TestFrontEndsAgree:
     def test_device_free_compiler_on_too_small_device(self, capsys):
         cli, served = self._both(capsys, "nomap", 20, "aspen")
         assert cli == served
+
+
+class TestClosedStdout:
+    """``repro ... | head`` closes stdout early: exit 1, no traceback."""
+
+    def test_broken_pipe_exits_quietly(self):
+        # ~84 KB of JSON outgrows the pipe, so the writer is still
+        # blocked on it when the reader goes away
+        bindings = [arg for i in range(300)
+                    for arg in ("--bind", f"gamma={i / 300},beta=0.2")]
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [
+                       str(Path(__file__).parents[1] / "src"),
+                       os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "bind", "--benchmark",
+             "QAOA-REG-3", "--qubits", "6", "--device", "aspen", "--json",
+             *bindings],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err
+        assert b"BrokenPipeError" not in err
