@@ -86,6 +86,16 @@ SIZES = {
 QAOA_INSTANCES = 10 if FULL else 3
 
 
+def sizes_for(device, sizes) -> tuple[int, ...]:
+    """The sizes of a list shared across devices that fit on ``device``.
+
+    Every benchmark file also declares ``DEVICE_SIZES`` -- device name to
+    the sizes it sweeps there in the current mode -- so a tier-1 test can
+    check the full-mode ranges against each device without running them.
+    """
+    return tuple(n for n in sizes if n <= device.n_qubits)
+
+
 @pytest.fixture(scope="session")
 def results_dir() -> Path:
     RESULTS_DIR.mkdir(exist_ok=True)

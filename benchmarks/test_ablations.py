@@ -26,6 +26,7 @@ from repro.mapping.qap import qap_from_problem
 from benchmarks.conftest import FULL, write_result
 
 SIZES = (8, 12, 16, 20) if FULL else (8, 12, 16)
+DEVICE_SIZES = {"montreal": SIZES}
 
 
 def _compile_variants():

@@ -16,6 +16,8 @@ from repro.devices import sycamore
 from benchmarks.conftest import QAOA_INSTANCES, SIZES, engine_sweep, write_result
 
 COMPILERS = ("2qan", "tket", "qiskit", "nomap")
+DEVICE_SIZES = {"sycamore": SIZES["sycamore_heis"] + SIZES["sycamore_ising"]
+                + SIZES["qaoa"]}
 
 
 def _sweep(benchmark_name: str, sizes, instances=1):

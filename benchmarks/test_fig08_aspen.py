@@ -7,9 +7,13 @@ import pytest
 from repro.analysis.harness import SweepConfig, aggregate, format_rows
 from repro.devices import aspen
 
-from benchmarks.conftest import QAOA_INSTANCES, SIZES, engine_sweep, write_result
+from benchmarks.conftest import (
+    QAOA_INSTANCES, SIZES, engine_sweep, sizes_for, write_result,
+)
 
 COMPILERS = ("2qan", "tket", "qiskit", "nomap")
+QAOA_SIZES = sizes_for(aspen(), SIZES["qaoa"])
+DEVICE_SIZES = {"aspen": SIZES["aspen"] + QAOA_SIZES}
 
 
 def _sweep(benchmark_name: str, sizes, instances=1):
@@ -45,7 +49,7 @@ def test_fig08_models(benchmark, results_dir, family):
 
 
 def test_fig08_qaoa(benchmark, results_dir):
-    sizes = tuple(n for n in SIZES["qaoa"] if n <= 16)
+    sizes = QAOA_SIZES
     rows = benchmark.pedantic(
         _sweep, args=("QAOA-REG-3", sizes, QAOA_INSTANCES),
         rounds=1, iterations=1,

@@ -15,6 +15,7 @@ from benchmarks.conftest import QAOA_INSTANCES, SIZES, engine_sweep, write_resul
 
 COMPILERS = ("2qan", "tket", "qiskit", "nomap")
 QAOA_COMPILERS = ("2qan", "ic_qaoa", "tket", "qiskit", "nomap")
+DEVICE_SIZES = {"montreal": SIZES["montreal"] + SIZES["qaoa_montreal"]}
 
 
 def _sweep(benchmark_name: str, sizes, compilers=COMPILERS, instances=1):

@@ -33,6 +33,7 @@ from benchmarks.conftest import FULL, write_result
 
 SIZES = (4, 8, 12, 16, 20, 22) if FULL else (4, 8, 12)
 INSTANCES = 10 if FULL else 3
+DEVICE_SIZES = {"montreal": SIZES}
 COMPILER_NAMES = ("2qan", "ic_qaoa", "tket", "qiskit")
 
 

@@ -16,10 +16,16 @@ from repro.analysis.overhead import reduction_table, summarize_reductions
 from repro.devices import aspen, sycamore
 
 from benchmarks.conftest import (
-    FULL, QAOA_INSTANCES, SIZES, engine_sweep, write_result,
+    FULL, QAOA_INSTANCES, SIZES, engine_sweep, sizes_for, write_result,
 )
 
 COMPILERS = ("2qan", "tket", "qiskit", "nomap")
+HEISENBERG_SIZES = (6, 10, 14)
+ASPEN_QAOA_SIZES = sizes_for(aspen(), SIZES["qaoa"])
+DEVICE_SIZES = {
+    "sycamore": SIZES["sycamore_ising"] + HEISENBERG_SIZES,
+    "aspen": SIZES["aspen"] + ASPEN_QAOA_SIZES,
+}
 
 
 def _sweep(device_factory, family, sizes, instances=1):
@@ -53,7 +59,7 @@ def test_fig11_sycamore_cz(benchmark, results_dir, family):
 
 def test_fig11_heisenberg_no_cz_overhead(benchmark, results_dir):
     """Dressed SWAPs cost 3 CZs, same as a Heisenberg circuit gate."""
-    sizes = (6, 10, 14)
+    sizes = HEISENBERG_SIZES
     rows = benchmark.pedantic(
         _sweep, args=(sycamore, "NNN_Heisenberg", sizes),
         rounds=1, iterations=1,
@@ -90,7 +96,7 @@ def test_fig12_aspen_cz(benchmark, results_dir, family):
 
 
 def test_fig12_qaoa_cz(benchmark, results_dir):
-    sizes = tuple(n for n in SIZES["qaoa"] if n <= 16)
+    sizes = ASPEN_QAOA_SIZES
     rows = benchmark.pedantic(
         _sweep, args=(aspen, "QAOA-REG-3", sizes, QAOA_INSTANCES),
         rounds=1, iterations=1,

@@ -31,6 +31,8 @@ from repro.devices import montreal, sycamore
 from benchmarks.conftest import FULL, JOBS, write_result
 
 MODEL_SIZES = (10, 20, 30, 40, 50) if FULL else (10, 16, 22, 28, 34)
+QAOA_SIZE = 20
+DEVICE_SIZES = {"sycamore": MODEL_SIZES, "montreal": (QAOA_SIZE,)}
 
 
 def _measure_all():
@@ -39,7 +41,8 @@ def _measure_all():
                     gateset="SYC", mapping_trials=1)
         for n in MODEL_SIZES
     ]
-    specs.append(RuntimeSpec("QAOA-REG-3-20", "QAOA-REG-3", 20, montreal(),
+    specs.append(RuntimeSpec(f"QAOA-REG-3-{QAOA_SIZE}", "QAOA-REG-3",
+                             QAOA_SIZE, montreal(),
                              mapping_trials=1))
     # Each worker process times its own compilation.  Concurrent workers
     # contend for cores, which inflates absolute wall times roughly

@@ -14,7 +14,7 @@ from repro.analysis.harness import SweepConfig
 from repro.analysis.overhead import reduction_table, summarize_reductions
 from repro.devices import aspen, montreal, sycamore
 
-from benchmarks.conftest import FULL, engine_sweep, write_result
+from benchmarks.conftest import FULL, engine_sweep, sizes_for, write_result
 
 DEVICES = (
     ("sycamore", sycamore, "SYC"),
@@ -23,16 +23,18 @@ DEVICES = (
 )
 SIZES = (6, 10, 14, 18) if FULL else (6, 10, 14)
 FAMILIES = ("NNN_Heisenberg", "NNN_XY", "NNN_Ising")
+DEVICE_SIZES = {name: sizes_for(factory(), SIZES)
+                for name, factory, _ in DEVICES}
 
 
-def _sweep_all(device_factory, gateset):
+def _sweep_all(device_factory, gateset, sizes):
     rows = []
     for family in FAMILIES:
         rows.extend(engine_sweep(SweepConfig(
             benchmark=family,
             device=device_factory(),
             gateset=gateset,
-            sizes=SIZES,
+            sizes=sizes,
             compilers=("2qan", "tket", "qiskit", "nomap"),
             seed=19,
         )))
@@ -43,7 +45,8 @@ def _sweep_all(device_factory, gateset):
 def test_tables_1_and_2(benchmark, results_dir, device_name,
                         device_factory, gateset):
     rows = benchmark.pedantic(
-        _sweep_all, args=(device_factory, gateset), rounds=1, iterations=1
+        _sweep_all, args=(device_factory, gateset, DEVICE_SIZES[device_name]),
+        rounds=1, iterations=1
     )
     table1 = reduction_table(rows, "tket")
     table2 = reduction_table(rows, "qiskit")

@@ -30,6 +30,8 @@ PAULIHEDRAL = {
 }
 
 QAOA_INSTANCES = 10 if FULL else 3
+QAOA_SIZE = 20
+DEVICE_SIZES = {"manhattan": (QAOA_SIZE,)}
 
 
 def _heisenberg_rows():
@@ -58,7 +60,7 @@ def _qaoa_rows():
     for degree in (4, 8, 12):
         cnots, depths = [], []
         for instance in range(QAOA_INSTANCES):
-            graph = random_regular_graph(degree, 20, seed=instance)
+            graph = random_regular_graph(degree, QAOA_SIZE, seed=instance)
             step = QAOAProblem(graph, (0.35,), (-0.39,)).layer_step(0)
             compiler = TwoQANCompiler(device, "CNOT", seed=instance,
                                       mapping_trials=2)

@@ -215,6 +215,12 @@ def _lowering_inputs():
                               for binding in angles]
 
 
+def _cnot_lowering_inputs():
+    """The same application circuits, lowered to CNOT: every block is
+    synthesized (the SYC case's blocks are shared placeholders)."""
+    return get_gateset("CNOT"), _lowering_inputs()[1]
+
+
 def _lower(decompose):
     """Lower every circuit through fresh memos, as one round of binds
     on a fresh server would."""
@@ -321,6 +327,14 @@ CASES: tuple[Case, ...] = (
          reference=_lower(decompose_circuit_reference),
          identical=_all_identical,
          floor=1.0),
+    Case("lowering_cnot", "the lowering case's 20 application circuits "
+                          "to CNOT, batched blocks and one-walk lowering "
+                          "vs per-matrix blocks and lower-then-fuse",
+         build=_cnot_lowering_inputs,
+         fast=_lower(decompose_circuit),
+         reference=_lower(decompose_circuit_reference),
+         identical=_all_identical,
+         floor=1.5),
     # the set-up floor is the serving claim (the structural compile is
     # paid inside the batch); the plain floor is the per-bind claim
     Case("bind", "n=20 QAOA/sycamore, 20 angle sets, structural compile "

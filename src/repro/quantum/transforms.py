@@ -6,27 +6,28 @@ This keeps the gate-count and depth metrics honest: a decomposed circuit
 is charged one single-qubit "slot" between entangling gates, exactly as
 the paper's tooling (Qiskit/t|ket> 1q-optimisation) would produce.
 
-Fusion lives in one helper, :class:`SingleQubitRuns`.  Its caller feeds
-it a circuit's gates in order -- single-qubit *matrices* join their
-qubit's pending run, multi-qubit gates are barriers -- so a producer
-that already holds the matrices (the final lowering walk in
-:mod:`repro.core.decompose`) fuses while it emits, without first
-building the unfused circuit.  :func:`merge_single_qubit_gates` is the
-same helper fed from an existing circuit.
-
-The fold is vectorized: all runs fold together as stacked 2x2 matmuls
--- round ``j`` multiplies the ``j``-th gate of every still-active run
-onto its accumulator in one gufunc call.  Per slice the stacked matmul
+Fusion lives in one kernel, :func:`fuse_runs`, over a row table: a
+single-qubit row holds an index into a stacked matrix table, every
+other row is a barrier on its qubits.  The kernel finds every run with
+array operations, folds all runs together as stacked 2x2 matmuls --
+round ``j`` multiplies the ``j``-th matrix of every run still active
+onto its accumulator in one gufunc call -- drops the runs that fold to
+a phase, and returns the output order.  Per slice the stacked matmul
 reproduces the scalar ``matrix @ accumulated`` byte for byte, so the
 result is bit-identical to the retained scalar walk
-(:func:`merge_single_qubit_gates_reference`).
+(:func:`merge_single_qubit_gates_reference`).  The final lowering walk
+(:mod:`repro.core.decompose`) and the CNOT/CZ block assembly
+(:mod:`repro.synthesis.cnot_basis`) feed it rows directly;
+:func:`merge_single_qubit_gates` feeds it an existing circuit.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
-from repro.quantum.circuit import Circuit
+from repro.quantum.circuit import Circuit, stack_matrices
 from repro.quantum.gates import Gate
 
 
@@ -38,88 +39,130 @@ def _is_phase(matrix: np.ndarray, atol: float = 1e-9) -> bool:
     )
 
 
-def _fold_runs(runs: list[list[np.ndarray]]) -> list[np.ndarray]:
-    """Product of every run, last matrix leftmost.
+def below(values: np.ndarray, atol: float, scalar) -> np.ndarray:
+    """``values < atol`` elementwise, exact against a scalar test.
 
-    Round ``j`` left-multiplies matrix ``j`` of each run still active
-    onto its accumulator -- the same ``matrix @ accumulated`` op order
-    the scalar walk applies, one slice per run.  A single-matrix run
-    folds to that matrix object itself.
+    ``np.abs`` over an array may differ from Python's ``abs`` of one
+    numpy scalar in the last bit, so an element within a relative 1e-9
+    of ``atol`` is decided by ``scalar(index)`` instead.
     """
-    folded = [mats[0] for mats in runs]
-    long_ids = []
-    for i, mats in enumerate(runs):
-        if len(mats) == 1:
-            continue
-        if all(m.dtype == np.complex128 for m in mats):
-            long_ids.append(i)
-        else:
-            # Exotic dtypes promote per-multiply in the scalar walk;
-            # stacking would promote up front.  Fold those few scalar.
-            result = mats[0]
-            for matrix in mats[1:]:
-                result = matrix @ result
-            folded[i] = result
-    if long_ids:
-        acc = np.stack([runs[i][0] for i in long_ids])
-        max_len = max(len(runs[i]) for i in long_ids)
-        for j in range(1, max_len):
-            active = [s for s, i in enumerate(long_ids) if len(runs[i]) > j]
-            mats = np.stack([runs[long_ids[s]][j] for s in active])
-            acc[active] = np.matmul(mats, acc[active])
-        for s, i in enumerate(long_ids):
-            folded[i] = acc[s]
-    return folded
+    verdict = values < atol
+    for i in np.flatnonzero(np.abs(values - atol) <= atol * 1e-9).tolist():
+        verdict[i] = scalar(i)
+    return verdict
 
 
-class SingleQubitRuns:
-    """Fuse single-qubit runs while a circuit is being walked.
+def _phase_mask(matrices: np.ndarray, atol: float = 1e-9) -> np.ndarray:
+    """:func:`_is_phase` of every matrix of a ``(k, 2, 2)`` stack."""
+    if not len(matrices):
+        return np.zeros(0, dtype=bool)
+    worst = np.maximum(np.maximum(np.abs(matrices[:, 0, 1]),
+                                  np.abs(matrices[:, 1, 0])),
+                       np.abs(matrices[:, 0, 0] - matrices[:, 1, 1]))
+    return below(worst, atol, lambda i: _is_phase(matrices[i], atol))
 
-    Feed gates in circuit order: :meth:`add` appends a single-qubit
-    matrix to its qubit's pending run, :meth:`barrier` closes the runs
-    on a multi-qubit gate's qubits (in ``gate.qubits`` order) and queues
-    the gate behind them.  :meth:`fuse` closes the runs still open, in
-    the order they were opened, folds every run at once and returns the
-    circuit: one ``U1Q`` per run (dropped when it is a phase) in the
-    order the runs closed, barrier gates as given.
+
+@dataclass(frozen=True)
+class Fused:
+    """What :func:`fuse_runs` returns.
+
+    ``events`` lists the output in order: a barrier row by its index, a
+    kept run by the index of its first row (a single-qubit row).
+    ``is_run`` marks the run events; ``folded[j]`` is the product of the
+    ``j``-th kept run, and ``exotic[j]`` replaces it where the run held a
+    matrix whose dtype is not complex128 (folded on the originals, as
+    the scalar walk promotes, per multiply).
     """
 
-    def __init__(self) -> None:
-        self._qubits: list[int] = []                # run id -> qubit
-        self._matrices: list[list[np.ndarray]] = []  # run id -> matrices
-        self._events: list[int | Gate] = []         # closed run id | gate
-        self._open: dict[int, int] = {}             # qubit -> open run id
+    events: np.ndarray
+    is_run: np.ndarray
+    folded: np.ndarray
+    exotic: dict
 
-    def add(self, qubit: int, matrix: np.ndarray) -> None:
-        run_id = self._open.get(qubit)
-        if run_id is None:
-            self._open[qubit] = len(self._qubits)
-            self._qubits.append(qubit)
-            self._matrices.append([matrix])
-        else:
-            self._matrices[run_id].append(matrix)
 
-    def barrier(self, gate: Gate) -> None:
-        for q in gate.qubits:
-            run_id = self._open.pop(q, None)
-            if run_id is not None:
-                self._events.append(run_id)
-        self._events.append(gate)
+def fuse_runs(one_qubit: np.ndarray, row_matrix: np.ndarray,
+              pair_row: np.ndarray, pair_qubit: np.ndarray,
+              pair_slot: np.ndarray, table: np.ndarray,
+              exotic: dict | None = None, atol: float = 1e-9) -> Fused:
+    """Fuse every single-qubit run of a row table in one stacked pass.
 
-    def fuse(self, n_qubits: int, atol: float = 1e-9) -> Circuit:
-        self._events.extend(self._open.values())
-        self._open.clear()
-        folded = _fold_runs(self._matrices)
-        gates = []
-        for event in self._events:
-            if isinstance(event, Gate):
-                gates.append(event)
-                continue
-            matrix = folded[event]
-            if not _is_phase(matrix, atol):
-                gates.append(Gate("U1Q", (self._qubits[event],),
-                                  matrix=matrix))
-        return Circuit(n_qubits, gates)
+    Row ``i`` (in circuit order) is a single-qubit row when
+    ``one_qubit[i]``, holding ``table[row_matrix[i]]``; otherwise it is a
+    barrier.  ``(pair_row, pair_qubit, pair_slot)`` list which qubits
+    each row touches: one pair for a single-qubit row, one per qubit (in
+    gate order, ``pair_slot`` 0, 1, ...) for a barrier.
+
+    A run is a maximal sequence of single-qubit rows on one qubit with no
+    barrier on that qubit between them; it folds to the product of its
+    matrices, last leftmost.  Output order is the scalar walk's: a run
+    closes just before the barrier that ends it (the barrier's runs in
+    its qubit order), runs still open at the end follow in the order they
+    opened, and a run that folds to a phase is dropped.
+    """
+    exotic = exotic or {}
+    n_rows = len(one_qubit)
+    order = np.lexsort((pair_row, pair_qubit))
+    qubit, row = pair_qubit[order], pair_row[order]
+    slot = pair_slot[order]
+    single = one_qubit[row]
+    same_qubit = qubit[1:] == qubit[:-1]
+    # pair j continues the run of pair j - 1
+    follows = np.zeros(len(order), dtype=bool)
+    follows[1:] = same_qubit & single[1:] & single[:-1]
+    starts = np.flatnonzero(single & ~follows)
+    ends = np.flatnonzero(single & ~np.append(follows[1:], False))
+    lengths = ends - starts + 1
+    first_row = row[starts]
+    # the pair after a run's last one, on the same qubit, is the barrier
+    # that closes it
+    after = np.minimum(ends + 1, max(len(order) - 1, 0))
+    closed = (ends + 1 < len(order)) & (qubit[after] == qubit[ends])
+    width = int(pair_slot.max(initial=0)) + 2
+    run_keys = np.where(closed, row[after] * width + slot[after],
+                        n_rows * width + first_row)
+    barriers = np.flatnonzero(~one_qubit)
+
+    member = row_matrix[row]          # table index of each run pair
+    folded = table[member[starts]]
+    odd_runs = set()
+    if exotic:
+        odd = np.zeros(len(table), dtype=bool)
+        odd[list(exotic)] = True
+        run_of = np.cumsum(single & ~follows) - 1
+        odd_runs = set(run_of[single & odd[member]].tolist())
+    long_runs = np.flatnonzero(lengths > 1)
+    if odd_runs:
+        long_runs = np.array([r for r in long_runs.tolist()
+                              if r not in odd_runs], dtype=np.intp)
+    if len(long_runs):
+        rank = long_runs[np.argsort(-lengths[long_runs], kind="stable")]
+        run_lengths = lengths[rank]
+        acc = folded[rank]
+        for j in range(1, int(run_lengths[0])):
+            active = int(np.count_nonzero(run_lengths > j))
+            step = table[member[starts[rank[:active]] + j]]
+            acc[:active] = np.matmul(step, acc[:active])
+        folded[rank] = acc
+    keep = ~_phase_mask(folded, atol)
+    odd_folded = {}
+    for r in sorted(odd_runs):
+        mats = [exotic.get(m, table[m])
+                for m in member[starts[r]:ends[r] + 1].tolist()]
+        result = mats[0]
+        for matrix in mats[1:]:
+            result = matrix @ result
+        odd_folded[r] = result
+        keep[r] = not _is_phase(result, atol)
+
+    kept = np.flatnonzero(keep)
+    keys = np.concatenate([barriers * width + width - 1, run_keys[kept]])
+    output = np.argsort(keys, kind="stable")
+    is_run = output >= len(barriers)
+    run_order = kept[output[is_run] - len(barriers)]
+    events = np.concatenate([barriers, first_row[kept]])[output]
+    out_exotic = {j: odd_folded[r] for j, r in enumerate(run_order.tolist())
+                  if r in odd_folded}
+    return Fused(events, is_run, folded[run_order], out_exotic)
 
 
 def merge_single_qubit_gates(circuit: Circuit, atol: float = 1e-9) -> Circuit:
@@ -129,13 +172,35 @@ def merge_single_qubit_gates(circuit: Circuit, atol: float = 1e-9) -> Circuit:
     most one single-qubit gate per qubit between consecutive entangling
     gates, named ``U1Q`` with an explicit matrix.
     """
-    runs = SingleQubitRuns()
-    for gate in circuit:
+    gates = circuit.gates
+    matrices, row_matrix = [], []
+    pair_row, pair_qubit, pair_slot = [], [], []
+    for i, gate in enumerate(gates):
         if gate.n_qubits == 1:
-            runs.add(gate.qubits[0], gate.unitary())
+            row_matrix.append(len(matrices))
+            matrices.append(gate.unitary())
         else:
-            runs.barrier(gate)
-    return runs.fuse(circuit.n_qubits, atol)
+            row_matrix.append(-1)
+        for s, q in enumerate(gate.qubits):
+            pair_row.append(i)
+            pair_qubit.append(q)
+            pair_slot.append(s)
+    table, exotic = stack_matrices(matrices)
+    row_matrix = np.array(row_matrix, dtype=np.intp)
+    fused = fuse_runs(row_matrix >= 0, row_matrix,
+                      np.array(pair_row, dtype=np.intp),
+                      np.array(pair_qubit, dtype=np.intp),
+                      np.array(pair_slot, dtype=np.intp),
+                      table, exotic, atol)
+    merged, j = [], 0
+    for event, is_run in zip(fused.events.tolist(), fused.is_run.tolist()):
+        if is_run:
+            matrix = fused.exotic.get(j, fused.folded[j])
+            merged.append(Gate("U1Q", gates[event].qubits, matrix=matrix))
+            j += 1
+        else:
+            merged.append(gates[event])
+    return Circuit(circuit.n_qubits, merged)
 
 
 def merge_single_qubit_gates_reference(circuit: Circuit,

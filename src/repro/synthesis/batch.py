@@ -15,29 +15,32 @@ exactly the bytes the retained scalar reference would have produced:
   LAPACK/BLAS routine to each stacked slice that a single 2-D call uses,
   so the stacked stages reproduce the scalar float64 operation order
   exactly;
-* stages where the scalar code is irreducibly sequential (the
-  canonicalization *move application*, whose fixup word differs per
-  matrix) run per matrix with the same Python operations on the batched
-  intermediates;
+* the canonicalization *move application*, whose fixup sequence
+  differs per matrix, runs grouped by move: the rows sharing a move get
+  the scalar sequence of matmuls and float operations as one stacked
+  call each;
 * matrices the batch stage cannot represent -- the simultaneous
   diagonalisation did not converge on the first random draw, the
   eigenphase parity is anomalous, an orthogonality/factorisation check
-  trips -- fall back to the scalar path one matrix at a time, the same
-  ``engine="auto"`` treatment the incremental router uses for weighted
-  devices.  The scalar path then either succeeds (identically, replaying
-  further random draws) or raises the exact error it always raised.
+  trips, the vector key scan cannot promise the scalar pick -- fall back
+  to the scalar path one matrix at a time, the same ``engine="auto"``
+  treatment the incremental router uses for weighted devices.  The
+  scalar path then either succeeds (identically, replaying further
+  random draws) or raises the exact error it always raised.
 
 The chamber tie-break in :func:`repro.synthesis.weyl._best_candidate`
 compares ``round(x, 9)`` key tuples with Python semantics; the batch
-orbit search therefore vectorises the candidate *arithmetic* (48 move
-candidates per matrix in one broadcast) and replays the key comparison
-per matrix over the handful of in-chamber survivors, preserving the
-scalar scan order bit for bit.
+orbit search scores all 48 move candidates of every matrix in one
+broadcast and takes a lexicographic maximum over ``np.round(x, 9)``
+keys, first in scan order on a tie.  The two roundings agree except
+next to a half-integer of ``x * 1e9``, and such rows take the scalar
+path (see :func:`batch_best_candidates`).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,6 +67,7 @@ _TWO_PI = 2 * math.pi
 _FIRST_DRAW = float(np.random.default_rng(0).normal())
 
 _I4 = np.eye(4, dtype=complex)
+_DIAGONAL = np.eye(4, dtype=bool)
 _MAGIC_H = np.ascontiguousarray(MAGIC.conj().T)
 
 # The move-orbit enumeration, frozen in the scalar iteration order.
@@ -85,7 +89,7 @@ def _as_batch(unitaries) -> np.ndarray:
 
 def _slice_max_abs(arrays: np.ndarray) -> np.ndarray:
     """Per-slice ``np.abs(.).max()`` over the trailing two axes."""
-    return np.abs(arrays).reshape(arrays.shape[0], -1).max(axis=1)
+    return np.abs(arrays).max(axis=(1, 2), initial=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +117,9 @@ def batch_kak_raw(stack: np.ndarray):
     _, p = np.linalg.eigh(a + _FIRST_DRAW * b)
     da = np.matmul(np.matmul(p.transpose(0, 2, 1), a), p)
     db = np.matmul(np.matmul(p.transpose(0, 2, 1), b), p)
-    diag_mask = np.eye(4, dtype=bool)
     off = np.maximum(
-        _slice_max_abs(np.where(diag_mask, 0.0, da)),
-        _slice_max_abs(np.where(diag_mask, 0.0, db)),
+        _slice_max_abs(np.where(_DIAGONAL, 0.0, da)),
+        _slice_max_abs(np.where(_DIAGONAL, 0.0, db)),
     )
     ok = off < 1e-10
     d = np.einsum("kii->ki", da) + 1j * np.einsum("kii->ki", db)
@@ -156,25 +159,54 @@ def batch_kak_raw(stack: np.ndarray):
 
 
 # ---------------------------------------------------------------------------
-# Stage 2: the Weyl-chamber move orbit, batched arithmetic
+# Stage 2: the Weyl-chamber move orbit, batched
 # ---------------------------------------------------------------------------
-def batch_best_candidates(thetas: np.ndarray) -> list:
+# Candidate ``8 p + 2 s + b`` is permutation ``p``, sign pattern ``s`` and
+# z-branch ``b``: the scalar scan order.
+_N_CANDIDATES = 48
+
+
+@dataclass(frozen=True)
+class Moves:
+    """Each row's canonical representative and the move recipe to it.
+
+    ``coords[i]`` are the chamber coordinates, ``perm[i]`` / ``sign[i]``
+    index :data:`_WORDS` / ``_SIGN_PATTERNS`` and ``shifts[i]`` counts
+    the pi/2 shifts per axis.  ``found[i]`` is false where the scalar
+    search raises (no in-chamber candidate) or where the vector key scan
+    cannot promise the scalar's pick; those rows go to the scalar path.
+    """
+
+    coords: np.ndarray
+    perm: np.ndarray
+    sign: np.ndarray
+    shifts: np.ndarray
+    found: np.ndarray
+
+
+def batch_best_candidates(thetas: np.ndarray) -> Moves:
     """Batched :func:`repro.synthesis.weyl._best_candidate`.
 
-    Vectorises the 48-candidate move orbit (6 permutations x 4 sign
-    patterns x 2 z-branches) for every matrix at once, then replays the
-    scalar key comparison -- Python ``round(x, 9)`` tuples, strict ``>``
-    keeping the first maximum in enumeration order -- over the in-chamber
-    survivors of each matrix.  Entries with no valid candidate (the
-    scalar path raises) come back as ``None``.
+    Builds the 48-candidate move orbit (6 permutations x 4 sign patterns
+    x 2 z-branches) for every row at once and picks the scalar winner
+    with array operations: the largest ``round(c, 9)`` key tuple among
+    in-chamber candidates, the first in scan order on a tie.
+
+    ``np.round(c, 9)`` is ``rint(c * 1e9) / 1e9``; it equals Python's
+    correctly rounded ``round(c, 9)`` unless ``c * 1e9`` lies within
+    rounding error of a half-integer.  A row with such an in-chamber
+    candidate comes back not ``found``, so the caller's scalar fallback
+    decides it.
     """
+    k = thetas.shape[0]
     permuted = thetas[:, _PERMS]                               # (k, 6, 3)
     flipped = permuted[:, :, None, :] * _SIGNS[None, None, :, :]
     shifted = np.mod(flipped, _HALF_PI)                        # (k, 6, 4, 3)
     shifts = np.round((shifted - flipped) / _HALF_PI).astype(int)
-    # Candidate coordinates for both z-branches: (k, 6, 4, 2, 3).
+    # Candidate coordinates for both z-branches, in scan order.
     cands = np.repeat(shifted[:, :, :, None, :], 2, axis=3)
     cands[:, :, :, 1, 2] -= _HALF_PI
+    cands = cands.reshape(k, _N_CANDIDATES, 3)
     cx, cy, cz = cands[..., 0], cands[..., 1], cands[..., 2]
     valid = (
         (cx <= math.pi / 4 + _TOL)
@@ -182,75 +214,87 @@ def batch_best_candidates(thetas: np.ndarray) -> list:
         & (cy >= np.abs(cz) - _TOL)
         & (cy >= -_TOL)
     )
-
-    results = []
-    for i in range(thetas.shape[0]):
-        best_key = None
-        best = None
-        for p_idx, s_idx, z_branch in zip(*np.nonzero(valid[i])):
-            cand = (
-                float(cands[i, p_idx, s_idx, z_branch, 0]),
-                float(cands[i, p_idx, s_idx, z_branch, 1]),
-                float(cands[i, p_idx, s_idx, z_branch, 2]),
-            )
-            key = (round(cand[0], 9), round(cand[1], 9), round(cand[2], 9))
-            if best_key is None or key > best_key:
-                best_key = key
-                move_shifts = (
-                    int(shifts[i, p_idx, s_idx, 0]),
-                    int(shifts[i, p_idx, s_idx, 1]),
-                    int(shifts[i, p_idx, s_idx, 2]) - int(z_branch),
-                )
-                best = (cand, _WORDS[p_idx],
-                        _SIGN_PATTERNS[s_idx], move_shifts)
-        results.append(best)
-    return results
-
-
-# ---------------------------------------------------------------------------
-# Stage 3: canonicalization moves (per matrix -- the word differs)
-# ---------------------------------------------------------------------------
-def _apply_moves(phase, k1, theta, k2, best):
-    """Scalar move application from :func:`weyl.kak_decompose`.
-
-    Operates on one matrix's batched intermediates with the identical
-    Python/numpy operations; returns ``(phase, left, right, c)`` or
-    ``None`` when the canonicalization consistency check would raise.
-    """
-    coords, word, signs, shifts = best
-    c = np.array(theta, dtype=float)
-    left, right = k1, k2
-    for swap in word:
-        g = _SWAP_XY if swap == "xy" else _SWAP_YZ
-        if swap == "xy":
-            c = np.array([c[1], c[0], c[2]])
-        else:
-            c = np.array([c[0], c[2], c[1]])
-        left = left @ g.conj().T
-        right = g @ right
-    if signs != (1, 1, 1):
-        flipped_axes = frozenset(i for i, s in enumerate(signs) if s < 0)
-        g = _FLIP[flipped_axes]
-        c = c * np.array(signs)
-        left = left @ g
-        right = g @ right
+    keys = np.round(cands, 9)
+    scaled = np.abs(cands) * 1e9
+    near_half = np.abs(scaled - np.floor(scaled) - 0.5) < 1e-6
+    unsure = (near_half.any(axis=2) & valid).any(axis=1)
+    alive = valid.copy()
     for axis in range(3):
-        n_shift = shifts[axis]
-        if n_shift == 0:
-            continue
-        pauli = _SHIFT[axis]
-        for _ in range(abs(n_shift)):
-            if n_shift > 0:
-                left = left @ pauli
-                phase = phase * (-1j)
-                c[axis] += math.pi / 2
-            else:
-                left = left @ pauli
-                phase = phase * 1j
-                c[axis] -= math.pi / 2
-    if np.abs(c - np.array(coords)).max() > 1e-7:
-        return None
-    return phase, left, right, coords
+        column = np.where(alive, keys[:, :, axis], -np.inf)
+        alive &= column == column.max(axis=1, keepdims=True)
+    found = valid.any(axis=1) & ~unsure
+    best = alive.argmax(axis=1)
+    rows = np.arange(k)
+    perm, sign, branch = best // 8, (best // 2) % 4, best % 2
+    move_shifts = shifts[rows, perm, sign]
+    move_shifts[:, 2] -= branch
+    return Moves(cands[rows, best], perm, sign, move_shifts, found)
+
+
+# ---------------------------------------------------------------------------
+# Stage 3: canonicalization moves, grouped by move
+# ---------------------------------------------------------------------------
+# ``(G, G^dag, coordinate permutation)`` per permutation move, with
+# ``G^dag`` built as the scalar path builds it, so every stacked matmul
+# sees the operand layout the scalar one does.
+_SWAP_MOVES = {
+    "xy": (_SWAP_XY, _SWAP_XY.conj().T, [1, 0, 2]),
+    "yz": (_SWAP_YZ, _SWAP_YZ.conj().T, [0, 2, 1]),
+}
+_SIGN_FLIPS = [
+    (_FLIP[frozenset(i for i, s in enumerate(signs) if s < 0)],
+     np.array(signs))
+    for signs in _SIGN_PATTERNS[1:]
+]
+
+
+def _apply_moves(phases, k1s, thetas, k2s, moves: Moves, rows: np.ndarray):
+    """The scalar move application of :func:`weyl.kak_decompose` on the
+    rows ``rows``, stacked over the rows that share each move.
+
+    Every row sees the scalar sequence of operations: its permutation
+    word, its sign flip, then its pi/2 shifts axis by axis, each as the
+    matmul or float operation the scalar loop makes.  Returns
+    ``(phase, left, right, ok)``; ``ok`` is false where the scalar
+    consistency check would raise.
+    """
+    phase = phases[rows]
+    left, right = k1s[rows], k2s[rows]
+    c = thetas[rows].astype(float)
+    perm, sign, shifts = moves.perm[rows], moves.sign[rows], moves.shifts[rows]
+    for index in sorted(set(perm.tolist()) - {0}):
+        sel = np.flatnonzero(perm == index)
+        moved_left, moved_right, moved_c = left[sel], right[sel], c[sel]
+        for swap in _WORDS[index]:
+            g, g_dag, order = _SWAP_MOVES[swap]
+            moved_c = moved_c[:, order]
+            moved_left = np.matmul(moved_left, g_dag)
+            moved_right = np.matmul(g, moved_right)
+        left[sel], right[sel], c[sel] = moved_left, moved_right, moved_c
+    for index in sorted(set(sign.tolist()) - {0}):
+        sel = np.flatnonzero(sign == index)
+        g, signs = _SIGN_FLIPS[index - 1]
+        c[sel] = c[sel] * signs
+        left[sel] = np.matmul(left[sel], g)
+        right[sel] = np.matmul(g, right[sel])
+    for axis in range(3):
+        count = shifts[:, axis]
+        for value in sorted(set(count.tolist()) - {0}):
+            sel = np.flatnonzero(count == value)
+            moved_left, moved_phase = left[sel], phase[sel]
+            moved_c = c[sel, axis]
+            for _ in range(abs(value)):
+                moved_left = np.matmul(moved_left, _SHIFT[axis])
+                if value > 0:
+                    moved_phase = moved_phase * (-1j)
+                    moved_c += math.pi / 2
+                else:
+                    moved_phase = moved_phase * 1j
+                    moved_c -= math.pi / 2
+            left[sel], phase[sel], c[sel, axis] = (moved_left, moved_phase,
+                                                   moved_c)
+    mismatch = np.abs(c - moves.coords[rows]).max(axis=1) > 1e-7
+    return phase, left, right, ~mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -323,24 +367,24 @@ def batch_expand_1q(smalls: np.ndarray, qubit: int) -> np.ndarray:
 
 
 def batch_rx_matrices(thetas: np.ndarray) -> np.ndarray:
-    """Stacked ``RX(theta)`` unitaries (mirrors ``gates._rx``)."""
-    c = np.cos(thetas / 2)
-    s = np.sin(thetas / 2)
-    out = np.zeros((thetas.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = c
-    out[:, 1, 1] = c
-    off = -1j * s
-    out[:, 0, 1] = off
-    out[:, 1, 0] = off
+    """Stacked ``RX(theta)`` unitaries, each entry computed by the scalar
+    expression of ``gates._rx`` (so byte-identical per angle)."""
+    halves = (np.asarray(thetas, dtype=float) / 2).tolist()
+    out = np.zeros((len(halves), 2, 2), dtype=complex)
+    out[:, 0, 0] = out[:, 1, 1] = [math.cos(h) for h in halves]
+    out[:, 0, 1] = out[:, 1, 0] = [-1j * math.sin(h) for h in halves]
     return out
 
 
 def batch_rz_matrices(thetas: np.ndarray) -> np.ndarray:
-    """Stacked ``RZ(theta)`` unitaries (mirrors ``gates._rz``)."""
-    phase = np.exp(-0.5j * thetas)
-    out = np.zeros((thetas.shape[0], 2, 2), dtype=complex)
-    out[:, 0, 0] = phase
-    out[:, 1, 1] = np.conj(phase)
+    """Stacked ``RZ(theta)`` unitaries, each phase computed by the scalar
+    expression of ``gates._rz`` (so byte-identical per angle)."""
+    phases = np.array([np.exp(-0.5j * t)
+                       for t in np.asarray(thetas, dtype=float).tolist()],
+                      dtype=complex)
+    out = np.zeros((len(phases), 2, 2), dtype=complex)
+    out[:, 0, 0] = phases
+    out[:, 1, 1] = np.conj(phases)
     return out
 
 
@@ -359,76 +403,100 @@ def batch_weyl_coordinates(unitaries) -> list:
     if stack.shape[0] == 0:
         return []
     _, _, thetas, _, ok = batch_kak_raw(stack)
-    candidates = batch_best_candidates(thetas)
-    coords = []
-    for i in range(stack.shape[0]):
-        if ok[i] and candidates[i] is not None:
-            coords.append(candidates[i][0])
-        else:
-            coords.append(weyl_coordinates(stack[i]))
-    return coords
+    moves = batch_best_candidates(thetas)
+    ok &= moves.found
+    coords = moves.coords.tolist()
+    return [tuple(coords[i]) if ok[i] else weyl_coordinates(stack[i])
+            for i in range(stack.shape[0])]
+
+
+@dataclass(frozen=True)
+class KAKArrays:
+    """Stacked canonical KAK decompositions: row ``i`` holds the fields
+    of ``kak_decompose(stack[i])`` (``coords`` is ``(x, y, z)``)."""
+
+    phase: np.ndarray
+    a1: np.ndarray
+    a2: np.ndarray
+    coords: np.ndarray
+    b1: np.ndarray
+    b2: np.ndarray
+
+    def decomposition(self, i: int) -> KAKDecomposition:
+        x, y, z = self.coords[i].tolist()
+        return KAKDecomposition(
+            phase=complex(self.phase[i]), a1=self.a1[i], a2=self.a2[i],
+            x=x, y=y, z=z, b1=self.b1[i], b2=self.b2[i])
+
+
+def batch_kak_arrays(stack: np.ndarray) -> KAKArrays:
+    """Canonical KAK decompositions of a ``(k, 4, 4)`` stack, as arrays.
+
+    Each row is bit-identical to ``kak_decompose`` of that matrix alone.
+    A row the batch stages cannot guarantee (see :func:`batch_kak_raw`
+    and :func:`batch_best_candidates`), or whose moves, factors or
+    reconstruction fail their checks, is recomputed by the scalar
+    ``kak_decompose``, which also raises exactly the scalar errors.
+    """
+    k = stack.shape[0]
+    phases, k1s, thetas, k2s, ok = batch_kak_raw(stack)
+    moves = batch_best_candidates(thetas)
+    rows = np.flatnonzero(ok & moves.found)
+    phase, lefts, rights, moved = _apply_moves(phases, k1s, thetas, k2s,
+                                               moves, rows)
+    rows, phase = rows[moved], phase[moved]
+    lefts, rights = lefts[moved], rights[moved]
+    m = len(rows)
+    a_all, b_all = batch_closest_kron_factors(np.concatenate([lefts,
+                                                              rights]))
+    a1s, b1s = a_all[:m], b_all[:m]
+    a2s, b2s = a_all[m:], b_all[m:]
+    factor_err = np.maximum(
+        _slice_max_abs(batch_kron_2x2(a1s, b1s) - lefts),
+        _slice_max_abs(batch_kron_2x2(a2s, b2s) - rights),
+    )
+    coords = moves.coords
+    recon = np.matmul(
+        np.matmul(phase[:, None, None] * batch_kron_2x2(a1s, b1s),
+                  batch_canonical_gates(coords[rows])),
+        batch_kron_2x2(a2s, b2s),
+    )
+    recon_err = _slice_max_abs(recon - stack[rows])
+    good = (factor_err <= 1e-7) & (recon_err <= 1e-6)
+    if good.all() and m == k:
+        return KAKArrays(phase, a1s, b1s, coords, a2s, b2s)
+    out = KAKArrays(
+        phase=np.empty(k, dtype=complex),
+        a1=np.empty((k, 2, 2), dtype=complex),
+        a2=np.empty((k, 2, 2), dtype=complex),
+        coords=np.array(coords, dtype=float),
+        b1=np.empty((k, 2, 2), dtype=complex),
+        b2=np.empty((k, 2, 2), dtype=complex),
+    )
+    kept = rows[good]
+    out.phase[kept] = phase[good]
+    out.a1[kept], out.a2[kept] = a1s[good], b1s[good]
+    out.b1[kept], out.b2[kept] = a2s[good], b2s[good]
+    done = np.zeros(k, dtype=bool)
+    done[kept] = True
+    for i in np.flatnonzero(~done).tolist():
+        scalar = kak_decompose(stack[i])
+        out.phase[i] = scalar.phase
+        out.a1[i], out.a2[i] = scalar.a1, scalar.a2
+        out.coords[i] = scalar.coordinates
+        out.b1[i], out.b2[i] = scalar.b1, scalar.b2
+    return out
 
 
 def batch_kak_decompose(unitaries) -> list:
     """Canonical KAK decompositions for a stacked batch of unitaries.
 
     Returns one :class:`~repro.synthesis.weyl.KAKDecomposition` per
-    input, each bit-identical to ``kak_decompose`` of that matrix alone.
-    Matrices the batch stages cannot guarantee fall back to the scalar
-    path individually (and raise exactly the scalar errors when they
-    must).
+    input, each bit-identical to ``kak_decompose`` of that matrix alone
+    (see :func:`batch_kak_arrays`).
     """
     stack = _as_batch(unitaries)
-    k = stack.shape[0]
-    if k == 0:
+    if stack.shape[0] == 0:
         return []
-    phases, k1s, thetas, k2s, ok = batch_kak_raw(stack)
-    candidates = batch_best_candidates(thetas)
-
-    moved = {}
-    for i in range(k):
-        if not ok[i] or candidates[i] is None:
-            continue
-        outcome = _apply_moves(phases[i], k1s[i], thetas[i], k2s[i],
-                               candidates[i])
-        if outcome is not None:
-            moved[i] = outcome
-
-    results: list = [None] * k
-    order = sorted(moved)
-    if order:
-        lefts = np.stack([moved[i][1] for i in order])
-        rights = np.stack([moved[i][2] for i in order])
-        sides = np.concatenate([lefts, rights])
-        a_all, b_all = batch_closest_kron_factors(sides)
-        m = len(order)
-        a1s, b1s = a_all[:m], b_all[:m]
-        a2s, b2s = a_all[m:], b_all[m:]
-        factor_err = np.maximum(
-            _slice_max_abs(batch_kron_2x2(a1s, b1s) - lefts),
-            _slice_max_abs(batch_kron_2x2(a2s, b2s) - rights),
-        )
-        coords = np.array([moved[i][3] for i in order], dtype=float)
-        cans = batch_canonical_gates(coords)
-        move_phases = np.array([moved[i][0] for i in order])
-        recon = np.matmul(
-            np.matmul(move_phases[:, None, None] * batch_kron_2x2(a1s, b1s),
-                      cans),
-            batch_kron_2x2(a2s, b2s),
-        )
-        recon_err = _slice_max_abs(recon - stack[order])
-        for j, i in enumerate(order):
-            if factor_err[j] > 1e-7 or recon_err[j] > 1e-6:
-                continue
-            phase, _, _, best_coords = moved[i]
-            results[i] = KAKDecomposition(
-                phase=complex(phase),
-                a1=a1s[j], a2=b1s[j],
-                x=float(best_coords[0]), y=float(best_coords[1]),
-                z=float(best_coords[2]),
-                b1=a2s[j], b2=b2s[j],
-            )
-    for i in range(k):
-        if results[i] is None:
-            results[i] = kak_decompose(stack[i])
-    return results
+    arrays = batch_kak_arrays(stack)
+    return [arrays.decomposition(i) for i in range(stack.shape[0])]

@@ -27,12 +27,21 @@ import math
 
 import numpy as np
 
-from repro.quantum.circuit import Circuit
-from repro.quantum.gates import Gate
+from repro.quantum.circuit import (
+    MAT,
+    OP,
+    Q0,
+    Q1,
+    SOURCE,
+    Circuit,
+    ColumnarCircuit,
+)
+from repro.quantum.gates import Gate, standard_gate_unitary
+from repro.quantum.transforms import below, fuse_runs
 from repro.synthesis.batch import (
     _as_batch,
     batch_expand_1q,
-    batch_kak_decompose,
+    batch_kak_arrays,
     batch_rx_matrices,
     batch_rz_matrices,
 )
@@ -40,6 +49,9 @@ from repro.synthesis.weyl import kak_decompose, mirror_x_z
 
 _PI4 = math.pi / 4
 _TOL = 1e-8
+_H = standard_gate_unitary("H")
+_RZ_MINUS = standard_gate_unitary("RZ", (-math.pi / 2,))
+_RZ_PLUS = standard_gate_unitary("RZ", (math.pi / 2,))
 
 
 def cnot_count(coords: tuple[float, float, float], tol: float = 1e-7) -> int:
@@ -140,14 +152,13 @@ def _append_local(circuit: Circuit, qubit: int, matrix: np.ndarray,
     The dropped phase is irrelevant here because callers track the overall
     phase via the KAK phases.
     """
-    off = abs(matrix[0, 1]) + abs(matrix[1, 0])
-    if off < atol and abs(matrix[0, 0] - matrix[1, 1]) < atol:
+    if _local_is_phase(matrix, atol):
         return
     circuit.append(Gate("U1Q", (qubit,), matrix=matrix))
 
 
 # ---------------------------------------------------------------------------
-# Batched CNOT-basis synthesis
+# Batched CNOT/CZ blocks
 # ---------------------------------------------------------------------------
 # The per-matrix cost of `decompose_to_cnots` is dominated by the two KAK
 # decompositions (target and core) and the dense core-unitary fold; all
@@ -156,7 +167,11 @@ def _append_local(circuit: Circuit, qubit: int, matrix: np.ndarray,
 # once through the scalar `_expand`/matmul chain) and per-matrix rotation
 # layers (stacked matmuls).  A byte-level guard compares one batched core
 # against the scalar `_core_unitary` fold and drops the whole group back
-# to the scalar fold if the platform ever disagrees.
+# to the scalar fold if the platform ever disagrees.  The finished block
+# -- the basis rewrite and the single-qubit merge the scalar gate set
+# applies to `decompose_to_cnots` -- is then built for the whole batch at
+# once: every block's unmerged rows go into one row table (block ``j`` on
+# qubits ``2j, 2j + 1``) and one call of the fusion kernel merges them.
 
 _CORE1_CACHE: dict[str, object] = {}
 
@@ -202,32 +217,22 @@ def _const_mats() -> dict[str, np.ndarray]:
     return _CONST_CACHE
 
 
-def _batch_cores_2(gate_lists: list[list[Gate]]) -> np.ndarray:
+def _batch_cores_2(coords: np.ndarray) -> np.ndarray:
     """Stacked core unitaries for the 2-CNOT template."""
     consts = _const_mats()
-    rx = batch_rx_matrices(
-        np.array([gates[1].params[0] for gates in gate_lists], dtype=float)
-    )
-    rz = batch_rz_matrices(
-        np.array([gates[2].params[0] for gates in gate_lists], dtype=float)
-    )
+    rx = batch_rx_matrices(-2 * coords[:, 0])
+    rz = batch_rz_matrices(-2 * coords[:, 1])
     run = np.matmul(batch_expand_1q(rx, 0), consts["pre2"])
     run = np.matmul(batch_expand_1q(rz, 1), run)
     return np.matmul(consts["cnot"], run)
 
 
-def _batch_cores_3(gate_lists: list[list[Gate]]) -> np.ndarray:
+def _batch_cores_3(coords: np.ndarray) -> np.ndarray:
     """Stacked core unitaries for the 3-CNOT template."""
     consts = _const_mats()
-    rx_a = batch_rx_matrices(
-        np.array([gates[4].params[0] for gates in gate_lists], dtype=float)
-    )
-    rx_b = batch_rx_matrices(
-        np.array([gates[6].params[0] for gates in gate_lists], dtype=float)
-    )
-    rz = batch_rz_matrices(
-        np.array([gates[7].params[0] for gates in gate_lists], dtype=float)
-    )
+    rx_a = batch_rx_matrices(2 * coords[:, 1])
+    rx_b = batch_rx_matrices(-2 * coords[:, 0])
+    rz = batch_rz_matrices(-2 * coords[:, 2])
     run = np.matmul(batch_expand_1q(rx_a, 0), consts["pre3"])
     run = np.matmul(consts["cz"], run)
     run = np.matmul(batch_expand_1q(rx_b, 0), run)
@@ -235,81 +240,221 @@ def _batch_cores_3(gate_lists: list[list[Gate]]) -> np.ndarray:
     return np.matmul(consts["cnot"], run)
 
 
-def _guarded_cores(gate_lists: list[list[Gate]], builder) -> np.ndarray:
+def _scalar_core(x: float, y: float, z: float, count: int) -> np.ndarray:
+    """``_core_unitary(_core_gates(x, y, z, count))`` for count 2 or 3,
+    starting from the constant folded prefix and taking the constant
+    gates' expansions from :func:`_const_mats` (the same bytes)."""
+    consts = _const_mats()
+    gates = _core_gates(x, y, z, count)
+    run = consts["pre2"] if count == 2 else consts["pre3"]
+    for gate in gates[1:] if count == 2 else gates[4:]:
+        expanded = consts.get(gate.name.lower())
+        run = (_expand_gate(gate) if expanded is None else expanded) @ run
+    return run
+
+
+def _guarded_cores(coords: np.ndarray, count: int) -> np.ndarray:
     """Batched core unitaries with a scalar byte-identity spot check.
 
     One batched core is refolded through the scalar path; any byte
     difference retires the whole group to the scalar fold (the
     ``engine="auto"`` safety treatment).
     """
-    cores = builder(gate_lists)
-    reference = _core_unitary(gate_lists[0])
-    if reference.tobytes() != np.ascontiguousarray(cores[0]).tobytes():
-        return np.stack([_core_unitary(gates) for gates in gate_lists])
+    fold = _batch_cores_2 if count == 2 else _batch_cores_3
+    cores = fold(coords)
+    if _scalar_core(*coords[0].tolist(), count).tobytes() \
+            != np.ascontiguousarray(cores[0]).tobytes():
+        return np.stack([_core_unitary(_core_gates(x, y, z, count))
+                         for x, y, z in coords.tolist()])
     return cores
 
 
-def batch_decompose_to_cnots(unitaries) -> list[tuple[Circuit, complex]]:
-    """Batched :func:`decompose_to_cnots`: one entry per stacked matrix.
+#: The core of each CNOT count in time order, as `_core_gates` emits it:
+#: a bare name is a two-qubit gate on (0, 1); ``(qubit, slot)`` is a
+#: rotation whose matrix the slot names.
+_CORE_ROWS = {
+    0: (),
+    1: ("CNOT",),
+    2: ("CNOT", (0, "rx_a"), (1, "rz"), "CNOT"),
+    3: ((1, "rz-"), "CNOT", (0, "rz+"), (1, "rz+"), (0, "rx_a"), "CZ",
+        (0, "rx_b"), (1, "rz"), "CNOT"),
+}
+#: Rotation angles per count, from ``(x, y, z)``, as `_core_gates` sets them.
+_ANGLES = {
+    2: {"rx_a": (0, -2), "rz": (1, -2)},
+    3: {"rx_a": (1, 2), "rx_b": (0, -2), "rz": (2, -2)},
+}
+#: Locals `_append_local` drops when they are a phase.
+_OPTIONAL = ("pre1", "pre2", "post1", "post2", "l0", "l1")
 
-    Per matrix bit-identical to the scalar function -- the target and
-    core KAK decompositions run through the batch engine (with its scalar
-    fallback), the core folds run as stacked matmuls guarded against the
-    scalar fold, and the final local-gate assembly replays the scalar
-    Python verbatim.
+
+def _block_rows(basis: str, count: int) -> list:
+    """Unmerged rows of a ``count``-CNOT block on ``basis``: ``(wire,
+    slot)`` per single-qubit row, ``None`` per basis gate.  The other
+    entangler is rewritten as the basis gate conjugated by ``H`` on
+    qubit 1, as ``_rewrite_cz_as_cnot`` / ``_rewrite_cnot_as_cz`` do."""
+    rows = [(0, "pre1"), (1, "pre2")] if count else [(0, "l0"), (1, "l1")]
+    for entry in _CORE_ROWS[count]:
+        if entry == basis:
+            rows.append(None)
+        elif isinstance(entry, str):
+            rows += [(1, "H"), None, (1, "H")]
+        else:
+            rows.append(entry)
+    if count:
+        rows += [(0, "post1"), (1, "post2")]
+    return rows
+
+
+def _local_is_phase(matrix: np.ndarray, atol: float = 1e-9) -> bool:
+    """The test `_append_local` drops a local by."""
+    off = abs(matrix[0, 1]) + abs(matrix[1, 0])
+    return off < atol and abs(matrix[0, 0] - matrix[1, 1]) < atol
+
+
+def _local_phase_mask(mats: np.ndarray) -> np.ndarray:
+    worst = np.maximum(np.abs(mats[:, 0, 1]) + np.abs(mats[:, 1, 0]),
+                       np.abs(mats[:, 0, 0] - mats[:, 1, 1]))
+    return below(worst, 1e-9, lambda i: _local_is_phase(mats[i]))
+
+
+_BASIS_KINDS = {"CNOT": Gate("CNOT", (0, 1)), "CZ": Gate("CZ", (0, 1))}
+
+
+def _h_conj(mats: np.ndarray) -> np.ndarray:
+    return np.conj(mats).transpose(0, 2, 1)
+
+
+def batch_cnot_blocks(unitaries,
+                      basis: str) -> list[tuple[ColumnarCircuit, complex]]:
+    """Finished CNOT- or CZ-basis blocks for a stack of unitaries.
+
+    Per matrix bit-identical to the scalar gate set's ``decompose``
+    (``decompose_to_cnots``, the basis rewrite and
+    ``merge_single_qubit_gates``): target and core KAKs come from the
+    batch engine (with its scalar fallback), the core folds from stacked
+    matmuls guarded against the scalar fold, the locals from stacked
+    matmuls with the scalar operand layouts, the rotations from the
+    scalar expressions, and the merge from :func:`fuse_runs` over every
+    block at once.  Returns one ``(block, phase)`` per input.
     """
     stack = _as_batch(unitaries)
     k = stack.shape[0]
     if k == 0:
         return []
-    targets = batch_kak_decompose(stack)
-    counts = [cnot_count(t.coordinates) for t in targets]
-    gate_lists = [
-        _core_gates(t.x, t.y, t.z, n) for t, n in zip(targets, counts)
-    ]
+    target = batch_kak_arrays(stack)
+    coords = target.coords
+    counts = np.array([cnot_count(c) for c in coords.tolist()])
 
-    # Core KAKs: constant for 1-CNOT cores; batched folds otherwise.
-    cores = {}
-    for count, builder in ((2, _batch_cores_2), (3, _batch_cores_3)):
-        group = [i for i in range(k) if counts[i] == count]
-        if not group:
-            continue
-        mats = _guarded_cores([gate_lists[i] for i in group], builder)
-        for i, decomp in zip(group, batch_kak_decompose(mats)):
-            cores[i] = decomp
-    for i in range(k):
-        if counts[i] == 1:
-            cores[i] = _core1_kak()
+    # core KAKs: constant for 1-CNOT cores, batched folds otherwise
+    core1 = _core1_kak()
+    core_phase = np.full(k, core1.phase, dtype=complex)
+    core = {name: np.broadcast_to(getattr(core1, name), (k, 2, 2)).copy()
+            for name in ("a1", "a2", "b1", "b2")}
+    core_coords = np.tile(np.array(core1.coordinates), (k, 1))
+    groups = [np.flatnonzero(counts == n) for n in (2, 3)]
+    folds = [_guarded_cores(coords[g], n)
+             for n, g in zip((2, 3), groups) if len(g)]
+    if folds:
+        rows = np.concatenate(groups)
+        kak = batch_kak_arrays(np.concatenate(folds))
+        core_phase[rows] = kak.phase
+        core_coords[rows] = kak.coords
+        for name in core:
+            core[name][rows] = getattr(kak, name)
+    entangled = np.flatnonzero(counts > 0)
+    mismatch = np.abs(core_coords[entangled]
+                      - coords[entangled]).max(axis=1) > 1e-6
+    if mismatch.any():
+        i = entangled[np.argmax(mismatch)]
+        raise RuntimeError(
+            f"core class {tuple(core_coords[i].tolist())} does not match "
+            f"target {tuple(coords[i].tolist())}")
 
-    results: list[tuple[Circuit, complex]] = []
-    for i in range(k):
-        target = targets[i]
-        circuit = Circuit(2)
-        if counts[i] == 0:
-            _append_local(circuit, 0, target.a1 @ target.b1)
-            _append_local(circuit, 1, target.a2 @ target.b2)
-            results.append((circuit, target.phase))
-            continue
-        core = cores[i]
-        if np.abs(
-            np.array(core.coordinates) - np.array(target.coordinates)
-        ).max() > 1e-6:
-            raise RuntimeError(
-                f"core class {core.coordinates} does not match target "
-                f"{target.coordinates}"
-            )
-        pre1 = core.b1.conj().T @ target.b1
-        pre2 = core.b2.conj().T @ target.b2
-        post1 = target.a1 @ core.a1.conj().T
-        post2 = target.a2 @ core.a2.conj().T
-        phase = target.phase / core.phase
-        _append_local(circuit, 0, pre1)
-        _append_local(circuit, 1, pre2)
-        circuit.extend(gate_lists[i])
-        _append_local(circuit, 0, post1)
-        _append_local(circuit, 1, post2)
-        results.append((circuit, phase))
-    return results
+    # every slot's matrices, stacked into one table
+    slots = {"H": _H[None], "rz-": _RZ_MINUS[None], "rz+": _RZ_PLUS[None]}
+    locals_ = {
+        "pre1": np.matmul(_h_conj(core["b1"]), target.b1),
+        "pre2": np.matmul(_h_conj(core["b2"]), target.b2),
+        "post1": np.matmul(target.a1, _h_conj(core["a1"])),
+        "post2": np.matmul(target.a2, _h_conj(core["a2"])),
+        "l0": np.matmul(target.a1, target.b1),
+        "l1": np.matmul(target.a2, target.b2),
+    }
+    slots.update(locals_)
+    dropped = dict(zip(locals_, _local_phase_mask(
+        np.concatenate(list(locals_.values()))).reshape(len(locals_), k)))
+    for n, group in zip((2, 3), groups):
+        for name, (axis, scale) in _ANGLES[n].items():
+            angles = (scale * coords[group, axis]).tolist()
+            build = batch_rz_matrices if name == "rz" else batch_rx_matrices
+            mats = np.zeros((k, 2, 2), dtype=complex)
+            mats[group] = build(angles)
+            slots[f"{name}{n}"] = mats
+    base, offset = {}, 0
+    for name, mats in slots.items():
+        base[name] = offset
+        offset += len(mats)
+    table = np.concatenate(list(slots.values()))
+
+    # one row table over all blocks: block j on qubits (2j, 2j + 1), its
+    # rows contiguous and in template order
+    parts = []
+    for n in np.unique(counts).tolist():
+        group = np.flatnonzero(counts == n)
+        spec = _block_rows(basis, n)
+        present = np.ones((len(group), len(spec)), dtype=bool)
+        index = np.full((len(group), len(spec)), -1, dtype=np.intp)
+        wire = np.zeros(len(spec), dtype=np.intp)
+        for col, entry in enumerate(spec):
+            if entry is None:
+                continue
+            wire[col], slot = entry
+            if slot in _OPTIONAL:
+                present[:, col] = ~dropped[slot][group]
+            if slot not in slots:
+                slot = f"{slot}{n}"
+            index[:, col] = base[slot] + (group if len(slots[slot]) == k
+                                          else 0)
+        keep = present.ravel()
+        parts.append((np.repeat(group, len(spec))[keep],
+                      np.tile(wire, len(group))[keep], index.ravel()[keep]))
+    row_block, row_wire, row_mat = (np.concatenate(column)
+                                    for column in zip(*parts))
+    one = row_mat >= 0
+    barriers = np.flatnonzero(~one)
+    fused = fuse_runs(
+        one, row_mat, np.concatenate([np.arange(len(one)), barriers]),
+        np.concatenate([2 * row_block + row_wire, 2 * row_block[barriers]
+                        + 1]),
+        np.concatenate([np.zeros(len(one), dtype=np.intp),
+                        np.ones(len(barriers), dtype=np.intp)]), table)
+
+    # split the fused events back into blocks, keeping their order
+    block = row_block[fused.events]
+    order = np.argsort(block, kind="stable")
+    block, events = block[order], fused.events[order]
+    is_run = fused.is_run[order]
+    run_index = (np.cumsum(fused.is_run) - 1)[order]
+    row_start = np.searchsorted(block, np.arange(k + 1))
+    mat_start = np.concatenate([[0], np.cumsum(is_run)])[row_start]
+    rows = np.empty((len(events), 5), dtype=np.int32)
+    rows[:, OP] = np.where(is_run, -1, 0)
+    rows[:, Q0] = np.where(is_run, row_wire[events], 0)
+    rows[:, Q1] = np.where(is_run, -1, 1)
+    rows[:, MAT] = np.where(is_run, np.cumsum(is_run) - 1
+                            - mat_start[block], -1)
+    rows[:, SOURCE] = -1
+    matrices = fused.folded[run_index[is_run]]
+    kinds = (_BASIS_KINDS[basis],)
+    phases = [complex(p) for p in target.phase.tolist()]
+    blocks = []
+    for j, n in enumerate(counts.tolist()):
+        phase = phases[j] if n == 0 else phases[j] / complex(core_phase[j])
+        blocks.append((ColumnarCircuit(
+            2, kinds, rows[row_start[j]:row_start[j + 1]],
+            matrices[mat_start[j]:mat_start[j + 1]]), phase))
+    return blocks
 
 
 def decompose_kak_aligned(unitary: np.ndarray, core_gates: list[Gate],

@@ -25,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.quantum.circuit import Circuit
+from repro.quantum.circuit import Circuit, ColumnarCircuit, to_columns
 from repro.quantum.gates import Gate, standard_gate_unitary
 from repro.quantum.transforms import merge_single_qubit_gates
 from repro.synthesis.batch import batch_weyl_coordinates
 from repro.synthesis.cnot_basis import (
-    batch_decompose_to_cnots,
+    batch_cnot_blocks,
     cnot_count,
     decompose_kak_aligned,
     decompose_to_cnots,
@@ -82,35 +82,36 @@ class GateSet:
         return self._decompose_numerical(unitary, solve=solve, seed=seed)
 
     def decompose_batch(self, unitaries, *, solve: bool = True,
-                        seed: int = 0) -> list[tuple[Circuit, complex]]:
-        """Batched :meth:`decompose`: one ``(circuit, phase)`` per input.
+                        seed: int = 0,
+                        ) -> list[tuple[ColumnarCircuit, complex]]:
+        """Batched :meth:`decompose`: one ``(block, phase)`` per input.
 
-        Per matrix bit-identical to the scalar method.  The analytic
-        CNOT/CZ bases and the structural (``solve=False``) numerical
-        path ride the batched KAK engine; the exact numerical path is
-        solver-bound (scipy sandwich search per matrix) and runs the
-        scalar method per input.
+        Every block is a two-qubit
+        :class:`~repro.quantum.circuit.ColumnarCircuit` whose gates are,
+        per matrix, bit-identical to the scalar method's.  The analytic
+        CNOT/CZ bases build their blocks for the whole batch at once
+        (:func:`~repro.synthesis.cnot_basis.batch_cnot_blocks`); the
+        structural (``solve=False``) numerical path counts basis gates on
+        the batched KAK engine and hands out the shared placeholder
+        blocks; the exact numerical path is solver-bound (scipy sandwich
+        search per matrix) and runs the scalar method per input.
         """
         if self.name in ("CNOT", "CZ"):
-            rewrite = (_rewrite_cz_as_cnot if self.name == "CNOT"
-                       else _rewrite_cnot_as_cz)
-            return [
-                (merge_single_qubit_gates(rewrite(circuit)), phase)
-                for circuit, phase in batch_decompose_to_cnots(unitaries)
-            ]
+            return batch_cnot_blocks(unitaries, self.name)
         if not solve:
-            counts = [
-                min_basis_gates(coords, self.basis_coords)
+            return [
+                (_PLACEHOLDER_BLOCKS[self.name,
+                                     min_basis_gates(coords,
+                                                     self.basis_coords)],
+                 1.0 + 0j)
                 for coords in batch_weyl_coordinates(unitaries)
             ]
-            return [
-                (_structural_circuit(self.name, count), 1.0 + 0j)
-                for count in counts
-            ]
-        return [
-            self._decompose_numerical(unitary, solve=True, seed=seed)
-            for unitary in unitaries
-        ]
+        blocks = []
+        for unitary in unitaries:
+            circuit, phase = self._decompose_numerical(unitary, solve=True,
+                                                       seed=seed)
+            blocks.append((to_columns(circuit), phase))
+        return blocks
 
     def _decompose_numerical(self, unitary: np.ndarray, *, solve: bool,
                              seed: int) -> tuple[Circuit, complex]:
@@ -285,6 +286,11 @@ _PLACEHOLDERS: dict[tuple[str, int], Circuit] = {
     (name, count): _placeholder_block(name, count)
     for name in ("SYC", "ISWAP")
     for count in range(4)
+}
+#: The same placeholders as columns, what :meth:`GateSet.decompose_batch`
+#: hands out.
+_PLACEHOLDER_BLOCKS: dict[tuple[str, int], ColumnarCircuit] = {
+    key: to_columns(block) for key, block in _PLACEHOLDERS.items()
 }
 
 

@@ -22,7 +22,8 @@ from repro.synthesis.gateset import get_gateset
 
 def test_case_table_covers_every_kernel():
     assert [case.name for case in CASES] == ["tabu", "routing", "synthesis",
-                                             "lowering", "bind", "warm"]
+                                             "lowering", "lowering_cnot",
+                                             "bind", "warm"]
 
 
 @pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
